@@ -18,11 +18,14 @@
 namespace kpm::runtime {
 namespace {
 
-/// One timed probe: sweeps of the fused block kernel on this rank's
-/// partition, returning seconds per sweep.
-double probe_seconds(Communicator& comm, const sparse::CrsMatrix& global,
-                     const RowPartition& part, const AutoTuneParams& p) {
-  DistributedMatrix dist(comm, global, part);
+/// One timed probe: sweeps of the fused block kernel on this rank's share of
+/// `dist`, returning this rank's best seconds per sweep.  Timed like the
+/// load balancer (DESIGN §5e): a barrier first, so a peer's tail is absorbed
+/// outside the timed region, then thread CPU time, which excludes time spent
+/// descheduled on a loaded host.  Every probe of auto_tune_weights — device
+/// weights, kernel variant and collective tiles — goes through here.
+double probe_seconds(Communicator& comm, const DistributedMatrix& dist,
+                     const AutoTuneParams& p) {
   blas::BlockVector v(dist.extended_rows(), p.block_width);
   blas::BlockVector w(dist.extended_rows(), p.block_width);
   for (global_index i = 0; i < dist.local_rows(); ++i) {
@@ -37,28 +40,36 @@ double probe_seconds(Communicator& comm, const sparse::CrsMatrix& global,
   dist.exchange_halo(comm, v);
   sparse::aug_spmmv(dist.local(), rec, v, w, dvv, dwv);
 
-  Timer t;
-  t.start();
+  comm.barrier();
+  double best = 1e300;
   for (int sweep = 0; sweep < p.sweeps_per_probe; ++sweep) {
+    const double t0 = Timer::thread_cpu_now();
     sparse::aug_spmmv(dist.local(), rec, v, w, dvv, dwv);
+    best = std::min(best, Timer::thread_cpu_now() - t0);
   }
-  t.stop();
   // Optional simulated slower device (testing heterogeneity without one).
   const double slowdown =
       static_cast<std::size_t>(comm.rank()) < p.slowdown.size()
           ? p.slowdown[static_cast<std::size_t>(comm.rank())]
           : 1.0;
-  return slowdown * t.seconds() / p.sweeps_per_probe;
+  return slowdown * best;
 }
 
-/// Slowest-rank time of one collective probe (allreduced: identical on all
-/// ranks, so every rank draws the same conclusion from it).
-double worst_rank_seconds(Communicator& comm, const sparse::CrsMatrix& global,
-                          const RowPartition& part, const AutoTuneParams& p) {
-  const double mine = probe_seconds(comm, global, part, p);
+/// Every rank's probe time, gathered by one allreduce of a one-hot vector
+/// (identical on all ranks, so every rank draws the same conclusion).
+std::vector<double> rank_seconds(Communicator& comm,
+                                 const DistributedMatrix& dist,
+                                 const AutoTuneParams& p) {
   std::vector<double> times(static_cast<std::size_t>(comm.size()), 0.0);
-  times[static_cast<std::size_t>(comm.rank())] = mine;
+  times[static_cast<std::size_t>(comm.rank())] = probe_seconds(comm, dist, p);
   comm.allreduce_sum(times);
+  return times;
+}
+
+/// Slowest-rank time of one collective probe.
+double worst_rank_seconds(Communicator& comm, const DistributedMatrix& dist,
+                          const AutoTuneParams& p) {
+  const std::vector<double> times = rank_seconds(comm, dist, p);
   return *std::max_element(times.begin(), times.end());
 }
 
@@ -284,7 +295,7 @@ void AutoTuner::save() const {
     std::fprintf(f,
                  "    {\"key\": \"%s\", \"tile_width\": %d, "
                  "\"band_rows\": %lld, \"nt_stores\": %d, "
-                 "\"seconds\": %.6e}%s\n",
+                 "\"seconds\": %.17g}%s\n",
                  key.c_str(), e.config.tile_width,
                  static_cast<long long>(e.config.band_rows),
                  e.config.nt_stores ? 1 : 0, e.seconds,
@@ -469,6 +480,12 @@ AutoTuneResult auto_tune_weights(Communicator& comm,
   AutoTuneResult out;
   out.weights.assign(static_cast<std::size_t>(size), 1.0 / size);
   out.partition = RowPartition::weighted(global.nrows(), out.weights);
+  // The equal-weight starting partition is also the rate sample: every rank
+  // times an equal-size row block, so a per-sweep cost that does not scale
+  // with rows (the fork/join of each rank's OpenMP team) cancels in the rate
+  // ratio instead of feeding back into the next partition.
+  const RowPartition sample = out.partition;
+  const DistributedMatrix sample_dist(comm, global, sample);
 
   out.variant = sparse::kernel_variant();
   if (p.tune_kernel_variant && sparse::has_fixed_width(p.block_width)) {
@@ -478,9 +495,9 @@ AutoTuneResult auto_tune_weights(Communicator& comm,
     // can still be timing one variant while another installs the next.
     comm.barrier();
     sparse::set_kernel_variant(sparse::KernelVariant::force_generic);
-    out.generic_seconds = worst_rank_seconds(comm, global, out.partition, p);
+    out.generic_seconds = worst_rank_seconds(comm, sample_dist, p);
     sparse::set_kernel_variant(sparse::KernelVariant::force_fixed);
-    out.fixed_seconds = worst_rank_seconds(comm, global, out.partition, p);
+    out.fixed_seconds = worst_rank_seconds(comm, sample_dist, p);
     out.variant = out.fixed_seconds <= out.generic_seconds
                       ? sparse::KernelVariant::force_fixed
                       : sparse::KernelVariant::force_generic;
@@ -515,7 +532,7 @@ AutoTuneResult auto_tune_weights(Communicator& comm,
       const std::size_t stage1_size = candidates.size();
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         sparse::set_tile_config(candidates[i]);
-        const double s = worst_rank_seconds(comm, global, out.partition, p);
+        const double s = worst_rank_seconds(comm, sample_dist, p);
         ++out.tiles.timed_probes;
         if (s < winner_seconds) {
           winner_seconds = s;
@@ -539,30 +556,35 @@ AutoTuneResult auto_tune_weights(Communicator& comm,
     }
   }
 
+  // Device speed = rows per second on the sample, from each rank's best time
+  // over the iterations so far; weights proportional to speed.  The
+  // imbalance is then measured on the partition those weights build.
+  std::vector<double> best(static_cast<std::size_t>(size), 1e300);
   for (int iter = 0; iter < p.max_iterations; ++iter) {
     out.iterations = iter + 1;
-    const double mine = probe_seconds(comm, global, out.partition, p);
-    // Gather every rank's probe time via one allreduce of a one-hot vector.
-    std::vector<double> times(static_cast<std::size_t>(size), 0.0);
-    times[static_cast<std::size_t>(comm.rank())] = mine;
-    comm.allreduce_sum(times);
-
-    const double worst = *std::max_element(times.begin(), times.end());
-    const double best = *std::min_element(times.begin(), times.end());
-    out.imbalance = worst > 0.0 ? (worst - best) / worst : 0.0;
-    if (out.imbalance < p.imbalance_tolerance) break;
-
-    // Device speed = rows per second; new weights proportional to speed.
+    const std::vector<double> sampled = rank_seconds(comm, sample_dist, p);
     double total = 0.0;
     for (int r = 0; r < size; ++r) {
-      const double rows =
-          static_cast<double>(out.partition.local_rows(r));
-      const double t = std::max(times[static_cast<std::size_t>(r)], 1e-9);
-      out.weights[static_cast<std::size_t>(r)] = rows / t;
-      total += out.weights[static_cast<std::size_t>(r)];
+      const auto ri = static_cast<std::size_t>(r);
+      best[ri] = std::min(best[ri], sampled[ri]);
+      out.weights[ri] = static_cast<double>(sample.local_rows(r)) /
+                        std::max(best[ri], 1e-9);
+      total += out.weights[ri];
     }
     for (auto& w : out.weights) w = std::max(w / total, 1e-3);
     out.partition = RowPartition::weighted(global.nrows(), out.weights);
+
+    const bool unchanged = std::ranges::equal(out.partition.offsets(),
+                                              sample.offsets());
+    const std::vector<double> times =
+        unchanged ? sampled
+                  : rank_seconds(comm,
+                                 DistributedMatrix(comm, global, out.partition),
+                                 p);
+    const double worst = *std::max_element(times.begin(), times.end());
+    const double fastest = *std::min_element(times.begin(), times.end());
+    out.imbalance = worst > 0.0 ? (worst - fastest) / worst : 0.0;
+    if (out.imbalance < p.imbalance_tolerance) break;
   }
   // Normalize for reporting.
   double total = 0.0;

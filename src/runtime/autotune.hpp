@@ -2,11 +2,16 @@
 // first outlook item ("determine the process weights for heterogeneous
 // execution automatically and take this burden away from the user").
 //
-// Strategy: start from equal (or user-provided) weights, run a few timed
-// sweeps of the fused block kernel on each rank's partition, and rebalance
-//   w_r  <-  local_rows_r / time_r   (rows per second = device speed)
-// until the measured per-rank times agree within a tolerance.  Convergence
-// is geometric because the kernel cost is linear in the row count.
+// Strategy: every rank times sweeps of the fused block kernel on an
+// equal-size row block (the equal-weight starting partition), and the
+// weights follow the measured device speed
+//   w_r  <-  sample_rows_r / best_time_r   (rows per second)
+// where best_time_r is rank r's best sweep over the iterations so far.  The
+// rows are equal, so a per-sweep cost that does not scale with rows (the
+// fork/join of each rank's OpenMP team) cancels in the rate ratio instead of
+// compounding from one partition into the next.  Each iteration measures the
+// imbalance of the partition the weights build and stops once it is within
+// the tolerance.
 //
 // The probe additionally selects the kernel body: it times the generic and
 // the fixed-width variant of the width-dispatch layer (sparse::KernelVariant)
@@ -204,11 +209,19 @@ class AutoTuner {
   bool loaded_ok_ = false;
 };
 
+/// Every probe times single sweeps the way runtime::LoadBalancer does
+/// (DESIGN §5e): a barrier first, then thread CPU time, keeping the best
+/// sweep — so a descheduled rank or one waiting on a peer is not mistaken
+/// for a slow device.
 struct AutoTuneParams {
   int block_width = 8;        ///< R used for the probe sweeps
-  int sweeps_per_probe = 2;   ///< timed kernel sweeps per iteration
-  int max_iterations = 8;
-  double imbalance_tolerance = 0.05;  ///< stop when (max-min)/max < tol
+  /// Timed sweeps per probe: per iteration, on the equal-size rate sample
+  /// and on the partition built from it.
+  int sweeps_per_probe = 2;
+  int max_iterations = 8;     ///< rate samples at most
+  /// Stop once the imbalance (max-min)/max of the built partition is below
+  /// this.  A per-sweep cost that rows cannot balance may keep it above.
+  double imbalance_tolerance = 0.05;
   /// Probe generic vs fixed-width kernel bodies and install the faster one
   /// (skipped when block_width has no fixed-width instantiation).
   bool tune_kernel_variant = true;
@@ -227,8 +240,11 @@ struct AutoTuneParams {
 struct AutoTuneResult {
   std::vector<double> weights;       ///< normalized to sum 1
   RowPartition partition;            ///< partition built from the weights
-  double imbalance = 0.0;            ///< final (max-min)/max of probe times
-  int iterations = 0;
+  /// (max-min)/max of the per-rank sweep times measured on `partition`
+  /// itself.  It can stay above the tolerance when a sweep has a fixed cost
+  /// (thread fork/join) that moving rows cannot balance.
+  double imbalance = 0.0;
+  int iterations = 0;                ///< rate samples taken
   /// Kernel body selected by the variant probe (the process-wide variant is
   /// left set to this value so production sweeps use it).
   sparse::KernelVariant variant = sparse::KernelVariant::auto_dispatch;
@@ -236,12 +252,17 @@ struct AutoTuneResult {
   double generic_seconds = 0.0;      ///< slowest-rank probe time, generic body
   double fixed_seconds = 0.0;        ///< slowest-rank probe time, fixed body
   /// Tile probe outcome (AutoTuneParams::tune_tiles; left default otherwise).
+  /// Its `seconds`, like the two above, are slowest-rank thread-CPU seconds
+  /// per sweep, the clock of every auto_tune_weights probe.
   TileTuneResult tiles;
 };
 
 /// Collective: measures the per-rank kernel speed on `global` and returns
-/// balanced weights.  Deterministic across ranks (times are allreduced, so
-/// every rank selects the same weights and the same kernel variant).
+/// weights proportional to it.  The speed of rank r is rows per second on
+/// an equal-size row block, from its best thread-CPU sweep time behind a
+/// barrier over all iterations run; `imbalance` is measured on the final
+/// partition.  Deterministic across ranks (times are allreduced, so every
+/// rank selects the same weights and the same kernel variant).
 [[nodiscard]] AutoTuneResult auto_tune_weights(Communicator& comm,
                                                const sparse::CrsMatrix& global,
                                                const AutoTuneParams& p = {});

@@ -410,6 +410,27 @@ TEST(TileTuner, SaveIsAtomicAgainstInterruptedWrites) {
   }
 }
 
+TEST(TileTuner, StoredSecondsReadBackAsTheSameDouble) {
+  CacheFileGuard cache("tile_cache_seconds.json");
+  // Probe times of 10 ms and more carry 8+ significant digits at nanosecond
+  // resolution; a shortest-round-trip print must return each one exactly.
+  const std::vector<double> seconds{0.015990649, 0.1234567891, 1.0 / 3.0,
+                                    2.5e-7, 12.345678912345};
+  {
+    runtime::AutoTuner tuner(cache.path());
+    for (std::size_t i = 0; i < seconds.size(); ++i) {
+      tuner.store("k" + std::to_string(i), {8, 512, false}, seconds[i]);
+    }
+  }
+  runtime::AutoTuner reread(cache.path());
+  ASSERT_TRUE(reread.cache_loaded());
+  for (std::size_t i = 0; i < seconds.size(); ++i) {
+    double back = 0.0;
+    ASSERT_TRUE(reread.lookup("k" + std::to_string(i), nullptr, &back));
+    EXPECT_EQ(back, seconds[i]) << "entry " << i;
+  }
+}
+
 TEST(TileTuner, InstallFalseRestoresPriorConfig) {
   const auto h = tune_matrix();
   CacheFileGuard cache("tile_cache_noinstall.json");
