@@ -22,6 +22,11 @@ struct ModelCase {
   std::function<sparse::CrsMatrix()> build;
 };
 
+// Without this gtest prints the parameter as a raw byte dump, which holds
+// heap and code addresses: the discovered ctest names would change with
+// every build and every run under address-space randomisation.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
+
 class DosModelSweep : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(DosModelSweep, CumulativeCountsMatchExactSpectrum) {
