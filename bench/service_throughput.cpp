@@ -121,12 +121,8 @@ bool audit_bitwise(const sparse::CrsMatrix& h, const physics::Scaling& s,
   if (job->wait() != service::JobStatus::done) return false;
 
   blas::BlockVector v0(h.nrows(), spec.num_random);
-  aligned_vector<complex_t> col(static_cast<std::size_t>(h.nrows()));
-  RandomVectorSource rng(spec.seed, RandomVectorKind::phase);
-  for (int r = 0; r < spec.num_random; ++r) {
-    rng.fill(col);
-    v0.set_column(r, col);
-  }
+  RandomVectorSource(spec.seed, RandomVectorKind::phase)
+      .fill_block(v0.span(), spec.num_random, 0, spec.num_random);
   const auto direct = core::moments_of_block(h, s, v0, spec.num_moments);
   const auto& res = job->result();
   for (int r = 0; r < spec.num_random; ++r) {

@@ -33,12 +33,8 @@ namespace {
 blas::BlockVector start_block(const sparse::CrsMatrix& h, std::uint64_t seed,
                               int width) {
   blas::BlockVector v0(h.nrows(), width);
-  aligned_vector<complex_t> col(static_cast<std::size_t>(h.nrows()));
-  RandomVectorSource rng(seed, RandomVectorKind::phase);
-  for (int r = 0; r < width; ++r) {
-    rng.fill(col);
-    v0.set_column(r, col);
-  }
+  RandomVectorSource(seed, RandomVectorKind::phase)
+      .fill_block(v0.span(), width, 0, width);
   return v0;
 }
 

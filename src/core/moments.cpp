@@ -139,34 +139,25 @@ MomentsResult moments_aug_spmv_impl(const Matrix& h, const physics::Scaling& s,
   return out;
 }
 
-template <class Matrix>
-MomentsResult moments_aug_spmmv_impl(const Matrix& h,
+/// Scalar SELL-C-sigma has no OperatorRef (its kernels are the Fig. 9-10
+/// ablation, not a session format), so it keeps its own blocked loop.
+MomentsResult moments_aug_spmmv_sell(const sparse::SellMatrix& h,
                                      const physics::Scaling& s,
-                                     const MomentParams& p, bool permute) {
+                                     const MomentParams& p) {
   check_params(p);
   const global_index n = h.nrows();
   const int width = p.num_random;
   MomentsResult out;
   out.dimension = n;
-  RandomVectorSource rng(p.seed, p.vector_kind);
 
+  // Same random streams as every other stage, generated in the original
+  // row order and permuted into the SELL numbering.
   blas::BlockVector v(n, width), w(n, width);
   {
-    // Same per-column random streams as the single-vector stages.
-    aligned_vector<complex_t> col(static_cast<std::size_t>(n));
-    aligned_vector<complex_t> perm_col(static_cast<std::size_t>(n));
-    for (int r = 0; r < width; ++r) {
-      rng.fill(col);
-      if (permute) {
-        if constexpr (std::is_same_v<Matrix, sparse::SellMatrix> ||
-                      std::is_same_v<Matrix, sparse::SellBlockMatrix>) {
-          h.permute(col, perm_col);
-          v.set_column(r, perm_col);
-          continue;
-        }
-      }
-      v.set_column(r, col);
-    }
+    blas::BlockVector start(n, width);
+    RandomVectorSource(p.seed, p.vector_kind)
+        .fill_block(start.span(), width, 0, width);
+    h.permute(start, v);
   }
 
   std::vector<complex_t> dvv(static_cast<std::size_t>(width));
@@ -237,16 +228,11 @@ MomentsResult moments_via_session(OperatorRef h, const physics::Scaling& s,
   check_params(p);
   const global_index n = h.nrows();
   const int width = p.num_random;
-  RandomVectorSource rng(p.seed, p.vector_kind);
-  blas::BlockVector v0(n, width);
-  {
-    aligned_vector<complex_t> col(static_cast<std::size_t>(n));
-    for (int r = 0; r < width; ++r) {
-      rng.fill(col);
-      v0.set_column(r, col);
-    }
-  }
-  SweepSession session(h, s, v0, p.num_moments);
+  blas::BlockVector v0(n, width, blas::Layout::row_major,
+                       blas::FirstTouch::parallel);
+  RandomVectorSource(p.seed, p.vector_kind)
+      .fill_block(v0.span(), width, 0, width);
+  SweepSession session(h, s, std::move(v0), p.num_moments);
   session.advance_all();
 
   MomentsResult out;
@@ -280,19 +266,19 @@ MomentsResult moments_aug_spmmv(const sparse::StencilOperator& h,
 MomentsResult moments_aug_spmmv(const sparse::SellMatrix& h,
                                 const physics::Scaling& s,
                                 const MomentParams& p) {
-  return moments_aug_spmmv_impl(h, s, p, /*permute=*/true);
+  return moments_aug_spmmv_sell(h, s, p);
 }
 
 MomentsResult moments_aug_spmmv(const sparse::BsrMatrix& h,
                                 const physics::Scaling& s,
                                 const MomentParams& p) {
-  return moments_aug_spmmv_impl(h, s, p, /*permute=*/false);
+  return moments_via_session(h, s, p);
 }
 
 MomentsResult moments_aug_spmmv(const sparse::SellBlockMatrix& h,
                                 const physics::Scaling& s,
                                 const MomentParams& p) {
-  return moments_aug_spmmv_impl(h, s, p, /*permute=*/true);
+  return moments_via_session(h, s, p);
 }
 
 std::vector<double> moments_of_vector(const sparse::CrsMatrix& h,

@@ -191,7 +191,7 @@ void OperatorRef::apply(const sparse::AugScalars& s,
 }
 
 SweepSession::SweepSession(OperatorRef h, const physics::Scaling& s,
-                           const blas::BlockVector& v0, int num_moments)
+                           blas::BlockVector v0, int num_moments)
     : h_(h), s_(s), num_moments_(num_moments) {
   require(num_moments >= 2 && num_moments % 2 == 0,
           "SweepSession: num_moments must be even and >= 2");
@@ -201,17 +201,17 @@ SweepSession::SweepSession(OperatorRef h, const physics::Scaling& s,
           "SweepSession: start block must be row-major");
   require(v0.width() >= 1, "SweepSession: at least one lane");
   const int width = v0.width();
-  v_ = blas::BlockVector(v0.rows(), width);
-  w_ = blas::BlockVector(v0.rows(), width);
   if (h_.kind() == OperatorRef::Kind::sell_block) {
     // The SELL-block kernels act in the permuted row numbering; rebind the
-    // start block once on entry (same rule as the moments_aug_spmmv impl).
+    // start block once on entry (same rule as the scalar-SELL moments loop).
+    v_ = blas::BlockVector(v0.rows(), width, blas::Layout::row_major,
+                           blas::FirstTouch::parallel);
     h_.sell_block().permute(v0, v_);
   } else {
-    for (global_index i = 0; i < v0.rows(); ++i) {
-      for (int r = 0; r < width; ++r) v_(i, r) = v0(i, r);
-    }
+    v_ = std::move(v0);
   }
+  w_ = blas::BlockVector(v_.rows(), width, blas::Layout::row_major,
+                         blas::FirstTouch::parallel);
   lane_of_column_.resize(static_cast<std::size_t>(width));
   for (int r = 0; r < width; ++r) lane_of_column_[static_cast<std::size_t>(r)] = r;
   mu_.resize(static_cast<std::size_t>(width));

@@ -119,9 +119,10 @@ class SweepSession {
   /// Requires a square operator, a row-major block, v0.rows() == h.nrows(),
   /// and an even num_moments >= 2.  `v0` is always given in the *original*
   /// row numbering; a SELL-block operator permutes it on entry (its kernels
-  /// act in the permuted numbering), every other format copies it verbatim.
-  SweepSession(OperatorRef h, const physics::Scaling& s,
-               const blas::BlockVector& v0, int num_moments);
+  /// act in the permuted numbering), every other format takes the block
+  /// over as |v>.  Pass an rvalue to hand the block over without a copy.
+  SweepSession(OperatorRef h, const physics::Scaling& s, blas::BlockVector v0,
+               int num_moments);
 
   /// Resumes from a checkpoint taken against the same operator + scaling.
   /// Checkpoint vectors are in the operator's working numbering (already

@@ -73,6 +73,15 @@ double worst_rank_seconds(Communicator& comm, const DistributedMatrix& dist,
   return *std::max_element(times.begin(), times.end());
 }
 
+/// Collective cache verdict: true only if every rank found the entry in its
+/// own cache.  Ranks may read different cache files, and a rank that skipped
+/// the probe while a peer entered its allreduces would hang both.
+bool every_rank_hit(Communicator& comm, bool hit) {
+  std::vector<double> hits{hit ? 1.0 : 0.0};
+  comm.allreduce_sum(hits);
+  return hits[0] == static_cast<double>(comm.size());
+}
+
 /// Deduplicated candidate list of the greedy stage-1 probe: (tile, nt)
 /// pairs.  Tiles >= width degenerate to the untiled pass and are dropped.
 std::vector<sparse::TileConfig> stage1_candidates(const TileTuneParams& p,
@@ -518,7 +527,8 @@ AutoTuneResult auto_tune_weights(Communicator& comm,
     sparse::TileConfig cached;
     double cached_seconds = 0.0;
     if (p.tile.use_cache &&
-        tuner.lookup(out.tiles.key, &cached, &cached_seconds)) {
+        every_rank_hit(comm, tuner.lookup(out.tiles.key, &cached,
+                                          &cached_seconds))) {
       out.tiles.config = cached;
       out.tiles.seconds = cached_seconds;
       out.tiles.from_cache = true;
@@ -611,7 +621,8 @@ TileTuneResult tune_distributed_tiles(Communicator& comm,
       "crs-dist", dist.partition().total_rows(),
       static_cast<global_index>(nnz_total[0]), max_threads(), width,
       comm.size(), dist.halo_depth());
-  if (p.use_cache && tuner.lookup(out.key, &out.config, &out.seconds)) {
+  if (p.use_cache &&
+      every_rank_hit(comm, tuner.lookup(out.key, &out.config, &out.seconds))) {
     out.from_cache = true;
     if (p.install) sparse::set_tile_config(out.config);
     comm.barrier();  // nobody proceeds until every rank installed it

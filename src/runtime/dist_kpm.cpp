@@ -5,7 +5,6 @@
 
 #include "runtime/autotune.hpp"
 #include "sparse/kpm_kernels.hpp"
-#include "util/aligned.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
@@ -46,18 +45,11 @@ DistMomentsResult distributed_moments_impl(
   }
 
   blas::BlockVector v(next, width), w(next, width);
-  {
-    // Same seed stream as the serial solver: every rank generates the full
-    // global vector and keeps its own slice (deterministic, no broadcast).
-    RandomVectorSource rng(p.seed, p.vector_kind);
-    aligned_vector<complex_t> full(static_cast<std::size_t>(n_global));
-    for (int r = 0; r < width; ++r) {
-      rng.fill(full);
-      for (global_index i = 0; i < nlocal; ++i) {
-        v(i, r) = full[static_cast<std::size_t>(row_begin + i)];
-      }
-    }
-  }
+  // Same seed stream as the serial solver: every rank walks the global
+  // stream (each lane's norm spans all rows) but stores only its own rows
+  // (deterministic, no broadcast).
+  RandomVectorSource(p.seed, p.vector_kind)
+      .fill_block(v.span(), width, 0, width, {n_global, row_begin, nlocal});
 
   DistMomentsResult out;
 

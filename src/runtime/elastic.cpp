@@ -17,7 +17,6 @@
 #include "core/sweep_session.hpp"
 #include "runtime/dist_kpm.hpp"
 #include "sparse/kpm_kernels.hpp"
-#include "util/aligned.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
@@ -264,14 +263,8 @@ ElasticResult ElasticRuntime::run(int initial_ranks) {
     // Same seed stream as the serial and distributed solvers: the committed
     // start block is the full global random block, sliced per rank at every
     // epoch start.
-    RandomVectorSource rng(p_.seed, p_.vector_kind);
-    aligned_vector<complex_t> full(static_cast<std::size_t>(n));
-    for (int r = 0; r < width; ++r) {
-      rng.fill(full);
-      for (global_index i = 0; i < n; ++i) {
-        ctx.v(i, r) = full[static_cast<std::size_t>(i)];
-      }
-    }
+    RandomVectorSource(p_.seed, p_.vector_kind)
+        .fill_block(ctx.v.span(), width, 0, width);
     ctx.eta.assign(static_cast<std::size_t>(width), {});
     ctx.report.schedule.push_back({0, offsets_copy(ctx.part)});
   }
@@ -556,10 +549,21 @@ void ElasticRuntime::solve(Ctx& ctx) {
       }
     }
     if (ctx.next_sweep >= ctx.epoch_limit) return;
+    const int start = ctx.next_sweep;
+    const int steps = std::min(opts_.chunk_sweeps, ctx.epoch_limit - start);
+    // A shadow that commits a chunk holding an injected failure carries the
+    // frontier past it before the target rank gets there, so the failure —
+    // and, without replacement, its membership shrink — silently drops out
+    // of the fault plan.  Such chunks are left to the live ranks.
+    for (const ElasticEvent& ev : opts_.events) {
+      if (ev.kind == ElasticEvent::Kind::fail && ev.sweep >= start &&
+          ev.sweep < start + steps) {
+        return;
+      }
+    }
     if (!straggler_detected()) return;
     ++ctx.report.speculations;
-    launch_shadow(ctx.next_sweep,
-                  std::min(opts_.chunk_sweeps, ctx.epoch_limit - ctx.next_sweep));
+    launch_shadow(start, steps);
   };
 
   // ---- Live commit (rank 0, at a barrier-fenced chunk boundary) ------------

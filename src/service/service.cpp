@@ -7,7 +7,6 @@
 
 #include "core/sweep_session.hpp"
 #include "runtime/autotune.hpp"
-#include "util/aligned.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -445,18 +444,13 @@ void KpmService::run_batch(const Model& model,
   }
 
   // Start block: each job's lanes are generated by that job's own seeded
-  // source, column by column — exactly the stream a solo sweep of the same
+  // source at its first lane — exactly the stream a solo sweep of the same
   // request would consume, so the job's bits cannot depend on its batchmates.
-  blas::BlockVector v0(n, lanes);
-  {
-    aligned_vector<complex_t> col(static_cast<std::size_t>(n));
-    for (const auto& a : batch) {
-      RandomVectorSource rng(a.job->req_.seed, a.job->req_.vector_kind);
-      for (int r = 0; r < a.job->req_.num_random; ++r) {
-        rng.fill(col);
-        v0.set_column(a.first_lane + r, col);
-      }
-    }
+  blas::BlockVector v0(n, lanes, blas::Layout::row_major,
+                       blas::FirstTouch::parallel);
+  for (const auto& a : batch) {
+    RandomVectorSource(a.job->req_.seed, a.job->req_.vector_kind)
+        .fill_block(v0.span(), lanes, a.first_lane, a.job->req_.num_random);
   }
 
   for (const auto& a : batch) {
@@ -465,7 +459,7 @@ void KpmService::run_batch(const Model& model,
     a.job->batch_width_ = lanes;
   }
 
-  core::SweepSession session(op, model.scaling, v0, batch_moments);
+  core::SweepSession session(op, model.scaling, std::move(v0), batch_moments);
   std::vector<char> live(batch.size(), 1);
 
   // Per-job damping tables g_0..g_{M-1} (core/damping.hpp), computed once

@@ -2,8 +2,13 @@
 // persistent tile autotuner, and the pipelined halo-exchange model.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "cluster/network.hpp"
 #include "cluster/scaling.hpp"
@@ -468,6 +473,49 @@ TEST(AutoTune, CollectiveTileProbeSharesOneCacheEntry) {
   });
   runtime::AutoTuner reread(cache.path());
   EXPECT_EQ(reread.cache_entries(), 1u);
+}
+
+TEST(AutoTune, DistributedTileCacheHitNeedsEveryRank) {
+  // Rank 0 reads a warm cache file, rank 1 a cold one.  Hit or miss is a
+  // collective verdict: a rank that returned from its cache while its peer
+  // entered the probe's allreduces would deadlock both, so both must probe
+  // in lockstep and leave with the same configuration.
+  const auto h = tune_matrix();
+  const auto part = runtime::RowPartition::uniform(h.nrows(), 2);
+  const auto p = small_tile_params();
+  constexpr int kWidth = 8;
+  CacheFileGuard warm("tile_cache_dist_warm.json");
+  CacheFileGuard cold("tile_cache_dist_cold.json");
+  runtime::run_ranks(2, [&](runtime::Communicator& c) {
+    const runtime::DistributedMatrix dist(c, h, part);
+    (void)runtime::tune_distributed_tiles(c, dist, kWidth, p, warm.path());
+  });
+  ASSERT_EQ(runtime::AutoTuner(warm.path()).cache_entries(), 1u);
+
+  // Fail fast on a deadlock instead of stalling the whole suite.
+  std::promise<void> finished;
+  std::thread watchdog([done = finished.get_future()] {
+    if (done.wait_for(std::chrono::seconds(120)) ==
+        std::future_status::timeout) {
+      std::fputs("DistributedTileCacheHitNeedsEveryRank: ranks deadlocked\n",
+                 stderr);
+      std::abort();
+    }
+  });
+  std::vector<runtime::TileTuneResult> res(2);
+  EXPECT_NO_THROW(runtime::run_ranks(2, [&](runtime::Communicator& c) {
+    const runtime::DistributedMatrix dist(c, h, part);
+    res[static_cast<std::size_t>(c.rank())] = runtime::tune_distributed_tiles(
+        c, dist, kWidth, p, c.rank() == 0 ? warm.path() : cold.path());
+  }));
+  finished.set_value();
+  watchdog.join();
+
+  EXPECT_FALSE(res[0].from_cache);
+  EXPECT_FALSE(res[1].from_cache);
+  EXPECT_GT(res[0].timed_probes, 0);
+  EXPECT_EQ(res[0].timed_probes, res[1].timed_probes);
+  EXPECT_EQ(res[0].config, res[1].config);
 }
 
 TEST(AutoTune, HaloDepthProbeAgreesAcrossRanksAndCoversCandidates) {

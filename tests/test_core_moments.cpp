@@ -6,12 +6,14 @@
 #include <cmath>
 
 #include "core/moments.hpp"
+#include "core/sweep_session.hpp"
 #include "physics/anderson.hpp"
 #include "physics/dense_eigen.hpp"
 #include "physics/spectral_bounds.hpp"
 #include "physics/ti_model.hpp"
 #include "sparse/sell.hpp"
 #include "util/check.hpp"
+#include "util/random.hpp"
 
 namespace kpm::core {
 namespace {
@@ -160,6 +162,54 @@ TEST(Moments, BlockMomentsMatchSingleVectorMoments) {
       EXPECT_NEAR(block_mu[static_cast<std::size_t>(r)][m], single[m], 1e-9);
     }
   }
+}
+
+TEST(Moments, SessionFromMovedBlockMatchesSessionFromCopy) {
+  const auto h = small_ti();
+  const auto s = scaling_for(h);
+  const int width = 5;
+  blas::BlockVector v0(h.nrows(), width);
+  RandomVectorSource(17).fill_block(v0.span(), width, 0, width);
+  const blas::BlockVector keep = v0;
+
+  SweepSession copied(h, s, v0, 40);  // lvalue: the session copies
+  copied.advance_all();
+  SweepSession moved(h, s, std::move(v0), 40);
+  moved.advance_all();
+  for (int r = 0; r < width; ++r) {
+    const auto a = copied.mu(r);
+    const auto b = moved.mu(r);
+    ASSERT_EQ(std::vector<double>(a.begin(), a.end()),
+              std::vector<double>(b.begin(), b.end()))
+        << "lane " << r;
+  }
+  // The copying constructor left the caller's block intact.
+  const auto after = moments_of_block(h, s, keep, 40);
+  for (int r = 0; r < width; ++r) {
+    const auto b = moved.mu(r);
+    EXPECT_EQ(after[static_cast<std::size_t>(r)],
+              std::vector<double>(b.begin(), b.end()));
+  }
+}
+
+TEST(Moments, BlockedSolverStartsFromSuccessiveFillVectors) {
+  // Lane r of the blocked solver starts from the r-th fill() of the seeded
+  // stream: building the block column by column gives the same bits.
+  const auto h = small_ti();
+  const auto s = scaling_for(h);
+  MomentParams p;
+  p.num_moments = 32;
+  p.num_random = 3;
+  p.seed = 5;
+  blas::BlockVector v0(h.nrows(), p.num_random);
+  RandomVectorSource rng(p.seed, p.vector_kind);
+  std::vector<complex_t> col(static_cast<std::size_t>(h.nrows()));
+  for (int r = 0; r < p.num_random; ++r) {
+    rng.fill(col);
+    v0.set_column(r, col);
+  }
+  const auto solver = moments_aug_spmmv(h, s, p);
+  EXPECT_EQ(solver.per_vector, moments_of_block(h, s, v0, p.num_moments));
 }
 
 TEST(Moments, OpCountersReflectAlgorithm) {

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <thread>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "util/aligned.hpp"
 #include "util/check.hpp"
@@ -139,6 +145,145 @@ TEST(Random, FillColumnMatchesFill) {
   aligned_vector<complex_t> block(64 * 4, complex_t{});
   b.fill_column(block, 4, 2);
   for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(block[i * 4 + 2], v[i]);
+}
+
+// The start-vector stream restated without RandomVectorSource: successive
+// length-n vectors drawn serially from one mt19937_64, each normalized.
+// fill_block must reproduce these bits for every width, window and thread
+// count.
+std::vector<complex_t> serial_stream_vector(std::mt19937_64& eng,
+                                            RandomVectorKind kind,
+                                            std::size_t n) {
+  std::vector<complex_t> v(n);
+  double norm2 = 0.0;
+  for (auto& x : v) {
+    switch (kind) {
+      case RandomVectorKind::phase: {
+        std::uniform_real_distribution<double> dist(0.0, 2.0 * pi);
+        const double phi = dist(eng);
+        x = {std::cos(phi), std::sin(phi)};
+        break;
+      }
+      case RandomVectorKind::rademacher: {
+        std::bernoulli_distribution dist(0.5);
+        x = {dist(eng) ? 1.0 : -1.0, 0.0};
+        break;
+      }
+      case RandomVectorKind::gaussian: {
+        std::normal_distribution<double> dist(0.0, 1.0);
+        const double re = dist(eng);
+        x = {re, dist(eng)};
+        break;
+      }
+    }
+    norm2 += std::norm(x);
+  }
+  const double scale = 1.0 / std::sqrt(norm2);
+  for (auto& x : v) x *= scale;
+  return v;
+}
+
+/// Runs `body` once per OpenMP team size in {1, 2, 4}.
+template <class Body>
+void for_each_thread_count(Body body) {
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  for (const int t : {1, 2, 4}) {
+    omp_set_num_threads(t);
+    body(t);
+  }
+  omp_set_num_threads(saved);
+#else
+  body(1);
+#endif
+}
+
+constexpr RandomVectorKind kAllKinds[] = {RandomVectorKind::phase,
+                                          RandomVectorKind::rademacher,
+                                          RandomVectorKind::gaussian};
+
+TEST(Random, FillBlockMatchesSerialStreamBitwise) {
+  const global_index n = 97;
+  const complex_t sentinel{-7.0, 3.0};
+  struct Window {
+    global_index begin, rows;
+  };
+  // Whole vector, empty, interior, and ending at the last row.
+  const Window windows[] = {{0, n}, {40, 0}, {13, 45}, {n - 20, 20}};
+  for_each_thread_count([&](int threads) {
+    for (const auto kind : kAllKinds) {
+      for (const int width : {1, 3, 32}) {
+        for (const int first_col : {0, width / 3}) {
+          const int lanes = width - first_col;
+          for (const Window& win : windows) {
+            std::mt19937_64 ref(23);
+            std::vector<std::vector<complex_t>> want;
+            for (int l = 0; l < lanes; ++l) {
+              want.push_back(serial_stream_vector(ref, kind, n));
+            }
+            RandomVectorSource src(23, kind);
+            std::vector<complex_t> block(
+                static_cast<std::size_t>(win.rows * width), sentinel);
+            src.fill_block(block, width, first_col, lanes,
+                           {n, win.begin, win.rows});
+            for (global_index i = 0; i < win.rows; ++i) {
+              for (int c = 0; c < width; ++c) {
+                const complex_t got =
+                    block[static_cast<std::size_t>(i * width + c)];
+                const complex_t expect =
+                    c < first_col
+                        ? sentinel
+                        : want[static_cast<std::size_t>(c - first_col)]
+                              [static_cast<std::size_t>(win.begin + i)];
+                ASSERT_EQ(got, expect)
+                    << "threads=" << threads << " kind="
+                    << static_cast<int>(kind) << " width=" << width
+                    << " first_col=" << first_col << " window=["
+                    << win.begin << "," << win.begin + win.rows
+                    << ") row=" << i << " col=" << c;
+              }
+            }
+            // The stream continues where `lanes` fill() calls leave it.
+            std::vector<complex_t> next(static_cast<std::size_t>(n));
+            src.fill(next);
+            ASSERT_EQ(next, serial_stream_vector(ref, kind, n))
+                << "threads=" << threads << " kind="
+                << static_cast<int>(kind) << " width=" << width;
+          }
+        }
+      }
+    }
+  });
+}
+
+TEST(Random, FillBlockMatchesFillAndFillColumn) {
+  const std::size_t n = 64;
+  const int width = 5;
+  for (const auto kind : kAllKinds) {
+    RandomVectorSource a(31, kind), b(31, kind), c(31, kind);
+    std::vector<complex_t> block(n * width);
+    a.fill_block(block, width, 1, 3);
+    std::vector<complex_t> by_column(n * width);
+    for (int col = 1; col < 4; ++col) {
+      std::vector<complex_t> v(n);
+      b.fill(v);
+      c.fill_column(by_column, width, col);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(block[i * width + col], v[i]);
+        EXPECT_EQ(by_column[i * width + col], v[i]);
+      }
+    }
+  }
+}
+
+TEST(Random, FillBlockRejectsBadArguments) {
+  RandomVectorSource src(1);
+  std::vector<complex_t> block(10 * 4);
+  EXPECT_THROW(src.fill_block(block, 4, 2, 3), contract_error);
+  EXPECT_THROW(src.fill_block(block, 4, -1, 1), contract_error);
+  EXPECT_THROW(src.fill_block(block, 4, 0, 4, {20, 15, 10}), contract_error);
+  EXPECT_THROW(src.fill_block(block, 4, 0, 4, {20, 0, 11}), contract_error);
+  EXPECT_THROW(src.fill_block(block, 3, 0, 3), contract_error);
 }
 
 TEST(Random, GaussianVectorIsNormalized) {
