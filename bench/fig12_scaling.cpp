@@ -18,7 +18,6 @@
 #include "bench_common.hpp"
 #include "bench_env.hpp"
 #include "cluster/scaling.hpp"
-#include "runtime/autotune.hpp"
 #include "runtime/dist_kpm.hpp"
 #include "runtime/dist_matrix.hpp"
 #include "runtime/elastic.hpp"
@@ -34,7 +33,6 @@ struct DistRecord {
   int ranks = 1;
   const char* transport = "staged";
   const char* mode = "plain";
-  bool tuned = false;
   double seconds_min = 0.0;
   double seconds_median = 0.0;
   long long halo_bytes_per_solve = 0;   // allreduced over ranks
@@ -318,29 +316,23 @@ DistRecord time_dist_config(const sparse::CrsMatrix& h,
                             const physics::Scaling& s,
                             const core::MomentParams& mp, int nranks,
                             runtime::HaloTransport transport, bool overlapped,
-                            bool tuned, int reps) {
+                            int reps) {
   DistRecord rec;
   rec.ranks = nranks;
   rec.transport =
       transport == runtime::HaloTransport::persistent ? "persistent" : "staged";
   rec.mode = overlapped ? "overlapped" : "plain";
-  rec.tuned = tuned;
   const auto part = runtime::RowPartition::uniform(h.nrows(), nranks);
-  const auto saved_tiles = sparse::tile_config();
   std::vector<double> times;
   runtime::run_ranks(nranks, [&](runtime::Communicator& c) {
     runtime::DistributedMatrix dist(c, h, part, transport);
-    auto solve = [&](const runtime::DistKpmOptions& opts) {
+    auto solve = [&] {
       return overlapped
-                 ? runtime::distributed_moments_overlapped(c, dist, s, mp, opts)
-                 : runtime::distributed_moments(c, dist, s, mp, opts);
+                 ? runtime::distributed_moments_overlapped(c, dist, s, mp)
+                 : runtime::distributed_moments(c, dist, s, mp);
     };
-    // Warm-up solve: grows persistent channel buffers, faults pages, and —
-    // for the tuned configuration — runs the collective tile probe once so
-    // the probed TileConfig stays installed for the timed repetitions.
-    runtime::DistKpmOptions warm_opts;
-    warm_opts.tune_tiles = tuned;
-    auto res = solve(warm_opts);
+    // Warm-up solve: grows persistent channel buffers and faults pages.
+    auto res = solve();
     std::vector<double> totals{static_cast<double>(res.halo_bytes_sent),
                                static_cast<double>(dist.interior_row_count()),
                                static_cast<double>(dist.local_rows())};
@@ -352,7 +344,7 @@ DistRecord time_dist_config(const sparse::CrsMatrix& h,
     for (int rep = 0; rep < reps; ++rep) {
       c.barrier();
       const auto t0 = std::chrono::steady_clock::now();
-      res = solve({});
+      res = solve();
       c.barrier();
       const auto t1 = std::chrono::steady_clock::now();
       if (c.rank() == 0) {
@@ -377,7 +369,6 @@ DistRecord time_dist_config(const sparse::CrsMatrix& h,
       }
     }
   });
-  sparse::set_tile_config(saved_tiles);
   rec.seconds_min = *std::min_element(times.begin(), times.end());
   rec.seconds_median = median_of(times);
   return rec;
@@ -449,11 +440,11 @@ void write_dist_json(const sparse::CrsMatrix& h, const core::MomentParams& mp,
     std::fprintf(
         f,
         "    {\"ranks\": %d, \"transport\": \"%s\", \"mode\": \"%s\", "
-        "\"tuned\": %d, \"seconds_min\": %.6e, \"seconds_median\": %.6e, "
+        "\"seconds_min\": %.6e, \"seconds_median\": %.6e, "
         "\"halo_bytes_per_solve\": %lld, \"halo_allocs_per_exchange\": %.1f, "
         "\"interior_fraction\": %.4f}%s\n",
-        r.ranks, r.transport, r.mode, r.tuned ? 1 : 0, r.seconds_min,
-        r.seconds_median, r.halo_bytes_per_solve, r.halo_allocs_per_exchange,
+        r.ranks, r.transport, r.mode, r.seconds_min, r.seconds_median,
+        r.halo_bytes_per_solve, r.halo_allocs_per_exchange,
         r.interior_fraction, i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -464,9 +455,9 @@ void write_dist_json(const sparse::CrsMatrix& h, const core::MomentParams& mp,
 }
 
 /// Measured (not modeled) scaling of the distributed solver with in-process
-/// ranks: the staged/untuned configuration is the pre-existing main path;
-/// persistent channels, the collective tile tune, and the overlapped sweep
-/// are the optimizations under test.  Every cell is min/median of `reps`
+/// ranks: the staged configuration is the pre-existing main path;
+/// persistent channels and the overlapped sweep are the optimizations under
+/// test.  Every cell is min/median of `reps`
 /// full solves after one untimed warm-up solve.
 void measured_distributed_section(bool smoke) {
   const auto env_or = [](const char* name, int fallback) {
@@ -491,42 +482,39 @@ void measured_distributed_section(bool smoke) {
               "min/median of %d solves ===\n",
               static_cast<long long>(h.nrows()), mp.num_moments, mp.num_random,
               reps);
-  std::printf("%5s %-10s %-10s %5s %12s %12s %12s %9s %9s\n", "ranks",
-              "transport", "mode", "tuned", "min[s]", "median[s]", "halo[B]",
+  std::printf("%5s %-10s %-10s %12s %12s %12s %9s %9s\n", "ranks",
+              "transport", "mode", "min[s]", "median[s]", "halo[B]",
               "alloc/xch", "interior");
   std::vector<DistRecord> records;
-  auto run = [&](int nranks, runtime::HaloTransport t, bool overlapped,
-                 bool tuned) {
-    records.push_back(
-        time_dist_config(h, s, mp, nranks, t, overlapped, tuned, reps));
+  auto run = [&](int nranks, runtime::HaloTransport t, bool overlapped) {
+    records.push_back(time_dist_config(h, s, mp, nranks, t, overlapped, reps));
     const auto& r = records.back();
-    std::printf("%5d %-10s %-10s %5d %12.5f %12.5f %12lld %9.1f %9.4f\n",
-                r.ranks, r.transport, r.mode, r.tuned ? 1 : 0, r.seconds_min,
-                r.seconds_median, r.halo_bytes_per_solve,
-                r.halo_allocs_per_exchange, r.interior_fraction);
+    std::printf("%5d %-10s %-10s %12.5f %12.5f %12lld %9.1f %9.4f\n",
+                r.ranks, r.transport, r.mode, r.seconds_min, r.seconds_median,
+                r.halo_bytes_per_solve, r.halo_allocs_per_exchange,
+                r.interior_fraction);
   };
   for (const int nranks : {1, 2, 4, 8}) {
-    run(nranks, runtime::HaloTransport::staged, false, false);
-    run(nranks, runtime::HaloTransport::persistent, false, false);
-    run(nranks, runtime::HaloTransport::persistent, true, false);
-    run(nranks, runtime::HaloTransport::persistent, true, true);
+    run(nranks, runtime::HaloTransport::staged, false);
+    run(nranks, runtime::HaloTransport::persistent, false);
+    run(nranks, runtime::HaloTransport::persistent, true);
   }
   // Headline: at the widest rank count the fully optimized configuration
-  // (persistent + tuned + overlapped) vs the pre-existing staged main path.
-  const auto find = [&](int ranks, const char* transport, const char* mode,
-                        bool tuned) -> const DistRecord* {
+  // (persistent + overlapped) vs the pre-existing staged main path.
+  const auto find = [&](int ranks, const char* transport,
+                        const char* mode) -> const DistRecord* {
     for (const auto& r : records) {
       if (r.ranks == ranks && std::string(r.transport) == transport &&
-          std::string(r.mode) == mode && r.tuned == tuned) {
+          std::string(r.mode) == mode) {
         return &r;
       }
     }
     return nullptr;
   };
-  const auto* base = find(8, "staged", "plain", false);
-  const auto* best = find(8, "persistent", "overlapped", true);
+  const auto* base = find(8, "staged", "plain");
+  const auto* best = find(8, "persistent", "overlapped");
   if (base != nullptr && best != nullptr) {
-    std::printf("\n8 ranks: persistent+tuned+overlapped %.5fs vs staged main "
+    std::printf("\n8 ranks: persistent+overlapped %.5fs vs staged main "
                 "path %.5fs -> speedup %.3fx\n",
                 best->seconds_min, base->seconds_min,
                 base->seconds_min / best->seconds_min);

@@ -4,7 +4,7 @@
 //
 // Besides the interactive google-benchmark suite, the binary always runs a
 // machine-readable sweep of the fused block kernel over
-// widths x formats x variants x thread counts and writes it to
+// widths x formats x thread counts and writes it to
 // BENCH_kernels.json (override the path with KPM_BENCH_JSON), so successive
 // PRs leave a perf trajectory.  The format axis covers the scalar layouts
 // (crs, sell), the block layouts of DESIGN §5f (bsr4, bsr4-f32,
@@ -16,12 +16,12 @@
 // stencil vs bsr4-f32 at width 32 ("stencil_vs_bsr4_f32_width32").
 // `kernels_micro --smoke` runs a reduced format x width grid once (no JSON
 // write, no google-benchmark suite) as a CI regression gate.
-// The "legacy" variant is a frozen copy of the pre-dispatch generic kernel
-// (heap per-row accumulators, std::complex arithmetic, `omp critical` dot
-// merge) kept here as the fixed reference point for those speedup numbers.
-// The "tiled" variant runs the fixed body under the tile configuration the
-// persistent autotuner (runtime::AutoTuner) selects for this matrix; its
-// winning {tile_width, band_rows, nt_stores} triple is recorded per cell.
+// Each (format, width) cell records the library kernel ("dispatch" — the
+// width-dispatched fused block kernel, one pass per row over all lanes).
+// The scalar formats also record "legacy", a frozen copy of the
+// pre-dispatch generic kernel (heap per-row accumulators, std::complex
+// arithmetic, `omp critical` dot merge) kept here as the fixed reference
+// point for the paper Fig. 5 speedup numbers.
 // The binary installs OMP_PROC_BIND=close / OMP_PLACES=cores at startup
 // unless already set (export your own values to override).
 #include <benchmark/benchmark.h>
@@ -42,7 +42,6 @@
 #include "physics/spectral_bounds.hpp"
 #include "physics/stencil_models.hpp"
 #include "physics/ti_model.hpp"
-#include "runtime/autotune.hpp"
 #include "sparse/bsr.hpp"
 #include "sparse/kpm_kernels.hpp"
 #include "sparse/matrix_stats.hpp"
@@ -244,8 +243,7 @@ void aug_spmmv_sell(const sparse::SellMatrix& a, const sparse::AugScalars& s,
 }  // namespace legacy
 
 // ---------------------------------------------------------------------------
-// Machine-readable sweep: widths x formats x variants x threads of the
-// fused kernel.
+// Machine-readable sweep: widths x formats x threads of the fused kernel.
 
 struct SweepRecord {
   const char* format;
@@ -254,7 +252,6 @@ struct SweepRecord {
   int threads;
   int index_bits;               // width of the streamed column indices
   const char* value_precision;  // "f64" | "f32" (accumulation always f64)
-  sparse::TileConfig tile;      // in effect during the timing
   double seconds;
   double gflops;
   double gbs;
@@ -271,15 +268,12 @@ struct SweepRecord {
 /// variant of the cell) is a like-for-like ratio no matter when the bench
 /// ran.  Per-variant seconds are best-of over the rounds as before.
 ///
-/// Variants select legacy / generic / fixed / tiled.  Legacy/generic/fixed
-/// run untiled so the trajectory vs earlier PRs stays like-for-like;
-/// "tiled" runs the fixed body under `tuned`.  The block formats (bsr4*,
-/// sellb4*) have no legacy variant — they did not exist before the dispatch
-/// machinery.
+/// Variants select legacy / dispatch.  The block formats (bsr4*, sellb4*)
+/// and the stencil have no legacy variant — they did not exist before the
+/// dispatch machinery.
 std::vector<SweepRecord> time_cell(const char* format,
                                    const std::vector<const char*>& variants,
-                                   int width,
-                                   const sparse::TileConfig& tuned) {
+                                   int width) {
   const auto& crs = matrix();
   const std::string fmt(format);
   // First-touch the probe vectors the same way the kernel streams them.
@@ -296,13 +290,8 @@ std::vector<SweepRecord> time_cell(const char* format,
   std::vector<complex_t> dwv(static_cast<std::size_t>(width));
   const auto rec = sparse::AugScalars::recurrence(0.2, 0.0);
 
-  const sparse::TileConfig untiled{-1, 0, false};
-  const auto config_of = [&](const std::string& var) {
-    return var == "tiled" ? tuned : untiled;
-  };
-  // Installs the variant's dispatch + tile state and runs one fused sweep.
+  // Runs one fused sweep of the variant.
   const auto sweep = [&](const std::string& var) {
-    sparse::set_tile_config(config_of(var));
     if (var == "legacy") {
       if (fmt == "sell") {
         legacy::aug_spmmv_sell(sell_matrix(), rec, v, w, dvv, dwv);
@@ -311,9 +300,6 @@ std::vector<SweepRecord> time_cell(const char* format,
       }
       return;
     }
-    sparse::set_kernel_variant(var == "generic"
-                                   ? sparse::KernelVariant::force_generic
-                                   : sparse::KernelVariant::force_fixed);
     if (fmt == "sell") {
       sparse::aug_spmmv(sell_matrix(), rec, v, w, dvv, dwv);
     } else if (fmt == "bsr4") {
@@ -354,8 +340,6 @@ std::vector<SweepRecord> time_cell(const char* format,
       best[vi] = std::min(best[vi], t.seconds());
     }
   }
-  sparse::set_kernel_variant(sparse::KernelVariant::auto_dispatch);
-  sparse::set_tile_config({});
 
   int index_bits = 32;
   const char* precision = "f64";
@@ -391,36 +375,16 @@ std::vector<SweepRecord> time_cell(const char* format,
   out.reserve(variants.size());
   for (std::size_t vi = 0; vi < variants.size(); ++vi) {
     out.push_back({format, variants[vi], width, max_threads(), index_bits,
-                   precision, config_of(variants[vi]), best[vi],
-                   flops / best[vi] / 1e9, bytes / best[vi] / 1e9,
-                   variants.front(), best.front() / best[vi]});
+                   precision, best[vi], flops / best[vi] / 1e9,
+                   bytes / best[vi] / 1e9, variants.front(),
+                   best.front() / best[vi]});
   }
   return out;
 }
 
-/// Tile configuration the persistent autotuner picks for this cell (cached
-/// in the usual tune-cache file, so re-running the bench skips the probes).
-sparse::TileConfig tuned_config(runtime::AutoTuner& tuner, const char* format,
-                                int width) {
-  runtime::TileTuneParams p;
-  p.install = false;  // time_cell installs it per timing
-  const std::string fmt(format);
-  const auto res = fmt == "sell" ? tuner.tune_tiles(sell_matrix(), width, p)
-                   : fmt == "bsr4"
-                       ? tuner.tune_tiles(bsr_matrix(), width, p)
-                   : fmt == "bsr4-f32"
-                       ? tuner.tune_tiles(bsr_matrix_f32(), width, p)
-                   : fmt == "sellb4-f32"
-                       ? tuner.tune_tiles(sell_block_matrix_f32(), width, p)
-                   : fmt == "stencil"
-                       ? tuner.tune_tiles(stencil_operator(), width, p)
-                       : tuner.tune_tiles(matrix(), width, p);
-  return res.config;
-}
-
 /// Same-run head-to-head: the matrix-free stencil kernel vs the bsr4-f32
-/// record holder at one width, repetitions interleaved round-robin under
-/// each format's tuned tile configuration.  Like time_cell, back-to-back
+/// record holder at one width, repetitions interleaved round-robin.  Like
+/// time_cell, back-to-back
 /// timing under one instantaneous clock makes the ratio immune to cross-run
 /// host drift — this is the DESIGN §5h acceptance number.
 struct HeadToHead {
@@ -429,7 +393,7 @@ struct HeadToHead {
   double speedup = 0.0;  ///< bsr4-f32 seconds / stencil seconds
 };
 
-HeadToHead stencil_vs_bsr(runtime::AutoTuner& tuner, int width) {
+HeadToHead stencil_vs_bsr(int width) {
   const auto& crs = matrix();
   blas::BlockVector v(crs.ncols(), width, blas::Layout::row_major,
                       blas::FirstTouch::parallel);
@@ -443,14 +407,10 @@ HeadToHead stencil_vs_bsr(runtime::AutoTuner& tuner, int width) {
   std::vector<complex_t> dvv(static_cast<std::size_t>(width));
   std::vector<complex_t> dwv(static_cast<std::size_t>(width));
   const auto rec = sparse::AugScalars::recurrence(0.2, 0.0);
-  const auto bsr_tile = tuned_config(tuner, "bsr4-f32", width);
-  const auto stencil_tile = tuned_config(tuner, "stencil", width);
   const auto sweep_bsr = [&] {
-    sparse::set_tile_config(bsr_tile);
     sparse::aug_spmmv(bsr_matrix_f32(), rec, v, w, dvv, dwv);
   };
   const auto sweep_stencil = [&] {
-    sparse::set_tile_config(stencil_tile);
     sparse::aug_spmmv(stencil_operator(), rec, v, w, dvv, dwv);
   };
   Timer t;
@@ -474,28 +434,22 @@ HeadToHead stencil_vs_bsr(runtime::AutoTuner& tuner, int width) {
     t.stop();
     h.stencil_seconds = std::min(h.stencil_seconds, t.seconds());
   }
-  sparse::set_tile_config({});
   h.speedup = h.bsr_seconds / h.stencil_seconds;
   return h;
 }
 
 void print_record(const SweepRecord& r) {
-  std::printf(
-      "%-10s %-8s %6d %4d %4d %4s %5d %8lld %3d %12.5f %9.3f %9.3f %6.2f\n",
-      r.format, r.variant, r.width, r.threads, r.index_bits,
-      r.value_precision, r.tile.tile_width,
-      static_cast<long long>(r.tile.band_rows), r.tile.nt_stores ? 1 : 0,
-      r.seconds, r.gflops, r.gbs, r.same_run_speedup);
+  std::printf("%-10s %-8s %6d %4d %4d %4s %12.5f %9.3f %9.3f %6.2f\n",
+              r.format, r.variant, r.width, r.threads, r.index_bits,
+              r.value_precision, r.seconds, r.gflops, r.gbs,
+              r.same_run_speedup);
 }
 
 /// Variants measured for a format: the frozen legacy body only exists for
 /// the scalar formats that predate the dispatch machinery.
 std::vector<const char*> variants_for(const std::string& fmt, bool smoke) {
-  if (smoke) return {"fixed", "tiled"};
-  if (fmt == "crs" || fmt == "sell") {
-    return {"legacy", "generic", "fixed", "tiled"};
-  }
-  return {"generic", "fixed", "tiled"};
+  if (!smoke && (fmt == "crs" || fmt == "sell")) return {"legacy", "dispatch"};
+  return {"dispatch"};
 }
 
 void run_sweep_and_write_json(bool smoke) {
@@ -509,7 +463,7 @@ void run_sweep_and_write_json(bool smoke) {
                                        "sellb4-f32", "stencil"};
   const int primary_threads = max_threads();
   // Thread-scaling sweep {1, 2, 4, max}, clipped to the machine, over a
-  // reduced width x variant grid.
+  // reduced width grid.
   std::vector<int> scaling_threads;
   for (const int t : {1, 2, 4, primary_threads}) {
     if (t >= 1 && t <= primary_threads && t != primary_threads &&
@@ -519,20 +473,17 @@ void run_sweep_and_write_json(bool smoke) {
     }
   }
   const int scaling_widths[] = {8, 32, 64};
-  const char* scaling_variants[] = {"fixed", "tiled"};
 
-  runtime::AutoTuner tuner;  // persistent cache: reruns skip the probes
   std::vector<SweepRecord> records;
   std::printf("aug_spmmv sweep (full fused kernel, on-the-fly dots)%s:\n",
               smoke ? " [smoke grid]" : "");
   bench::print_block_structure(matrix());
-  std::printf("%-10s %-8s %6s %4s %4s %4s %5s %8s %3s %12s %9s %9s %6s\n",
-              "fmt", "variant", "width", "thr", "idx", "val", "tile", "band",
-              "nt", "s/sweep", "GF/s", "GB/s", "ratio");
+  std::printf("%-10s %-8s %6s %4s %4s %4s %12s %9s %9s %6s\n", "fmt",
+              "variant", "width", "thr", "idx", "val", "s/sweep", "GF/s",
+              "GB/s", "ratio");
   const auto run_cell = [&](const char* fmt, int width,
                             const std::vector<const char*>& vars) {
-    const auto tuned = tuned_config(tuner, fmt, width);
-    for (auto& r : time_cell(fmt, vars, width, tuned)) {
+    for (auto& r : time_cell(fmt, vars, width)) {
       print_record(r);
       records.push_back(r);
     }
@@ -547,7 +498,7 @@ void run_sweep_and_write_json(bool smoke) {
       set_threads(t);
       for (const char* fmt : formats) {
         for (const int width : scaling_widths) {
-          run_cell(fmt, width, {scaling_variants[0], scaling_variants[1]});
+          run_cell(fmt, width, {"dispatch"});
         }
       }
     }
@@ -563,15 +514,15 @@ void run_sweep_and_write_json(bool smoke) {
     }
     return 0.0;
   };
-  // Best block-format cell at width 32 (any variant) vs the tiled
-  // scalar-CRS record — the per-PR trajectory number for DESIGN §5f.
+  // Best block-format cell at width 32 vs the scalar-CRS kernel record —
+  // the trajectory number for DESIGN §5f.
   const SweepRecord* best_block32 = nullptr;
-  double crs_tiled32_seconds = 0.0;
+  double crs32_seconds = 0.0;
   for (const auto& r : records) {
     if (r.width != 32 || r.threads != primary_threads) continue;
     const std::string f(r.format);
-    if (f == "crs" && std::string(r.variant) == "tiled") {
-      crs_tiled32_seconds = r.seconds;
+    if (f == "crs" && std::string(r.variant) == "dispatch") {
+      crs32_seconds = r.seconds;
     }
     if (f.rfind("bsr", 0) == 0 || f.rfind("sellb", 0) == 0) {
       if (best_block32 == nullptr || r.seconds < best_block32->seconds) {
@@ -581,15 +532,15 @@ void run_sweep_and_write_json(bool smoke) {
   }
   const double block_speedup32 =
       best_block32 != nullptr && best_block32->seconds > 0.0
-          ? crs_tiled32_seconds / best_block32->seconds
+          ? crs32_seconds / best_block32->seconds
           : 0.0;
   if (best_block32 != nullptr) {
-    std::printf("best block format @ width 32: %s/%s %.5e s/sweep "
-                "(%.2fx vs tiled scalar CRS %.5e)\n",
-                best_block32->format, best_block32->variant,
-                best_block32->seconds, block_speedup32, crs_tiled32_seconds);
+    std::printf("best block format @ width 32: %s %.5e s/sweep "
+                "(%.2fx vs scalar CRS %.5e)\n",
+                best_block32->format, best_block32->seconds, block_speedup32,
+                crs32_seconds);
   }
-  const HeadToHead h2h = stencil_vs_bsr(tuner, 32);
+  const HeadToHead h2h = stencil_vs_bsr(32);
   std::printf("stencil vs bsr4-f32 @ width 32 (same-run): %.5e s vs %.5e s "
               "(%.2fx)\n",
               h2h.stencil_seconds, h2h.bsr_seconds, h2h.speedup);
@@ -598,16 +549,12 @@ void run_sweep_and_write_json(bool smoke) {
                 path.c_str());
     return;
   }
-  const double s8 = find("sell", "fixed", 8) / find("sell", "legacy", 8);
-  const double s32 = find("sell", "fixed", 32) / find("sell", "legacy", 32);
-  const double t32 = find("crs", "tiled", 32) / find("crs", "fixed", 32);
-  const double t64 = find("crs", "tiled", 64) / find("crs", "fixed", 64);
-  std::printf("fixed vs pre-dispatch legacy, SELL: %.2fx @ width 8, "
-              "%.2fx @ width 32\n",
+  const double s8 = find("sell", "dispatch", 8) / find("sell", "legacy", 8);
+  const double s32 =
+      find("sell", "dispatch", 32) / find("sell", "legacy", 32);
+  std::printf("dispatch vs pre-dispatch legacy, SELL: %.2fx @ width 8, "
+              "%.2fx @ width 32\n\n",
               s8, s32);
-  std::printf("tiled vs untiled fixed, CRS: %.2fx @ width 32, "
-              "%.2fx @ width 64\n\n",
-              t32, t64);
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -628,7 +575,6 @@ void run_sweep_and_write_json(bool smoke) {
                sell_matrix().sigma(), sparse::block_fill_ratio(crs, 4),
                sparse::stencil_expressibility(crs, 4));
   std::fprintf(f, "  \"threads\": %d,\n", primary_threads);
-  std::fprintf(f, "  \"tune_cache\": \"%s\",\n", tuner.cache_path().c_str());
   std::fprintf(f, "  \"records\": [\n");
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& r = records[i];
@@ -636,38 +582,27 @@ void run_sweep_and_write_json(bool smoke) {
                  "    {\"format\": \"%s\", \"variant\": \"%s\", "
                  "\"width\": %d, \"threads\": %d, \"with_dots\": true, "
                  "\"index_bits\": %d, \"value_precision\": \"%s\", "
-                 "\"tile_width\": %d, \"band_rows\": %lld, "
-                 "\"nt_stores\": %d, "
                  "\"seconds_per_sweep\": %.6e, \"gflops\": %.4f, "
                  "\"gbs\": %.4f, \"baseline\": \"%s\", "
                  "\"same_run_speedup\": %.4f}%s\n",
                  r.format, r.variant, r.width, r.threads, r.index_bits,
-                 r.value_precision, r.tile.tile_width,
-                 static_cast<long long>(r.tile.band_rows),
-                 r.tile.nt_stores ? 1 : 0, r.seconds, r.gflops, r.gbs,
-                 r.baseline, r.same_run_speedup,
-                 i + 1 < records.size() ? "," : "");
+                 r.value_precision, r.seconds, r.gflops, r.gbs, r.baseline,
+                 r.same_run_speedup, i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"speedup_fixed_vs_legacy\": {\"sell_width8\": %.4f, "
+               "  \"speedup_vs_legacy\": {\"sell_width8\": %.4f, "
                "\"sell_width32\": %.4f},\n",
                s8, s32);
-  std::fprintf(f,
-               "  \"speedup_tiled_vs_fixed\": {\"crs_width32\": %.4f, "
-               "\"crs_width64\": %.4f},\n",
-               t32, t64);
   std::fprintf(f,
                "  \"stencil_vs_bsr4_f32_width32\": "
                "{\"bsr4_f32_seconds\": %.6e, \"stencil_seconds\": %.6e, "
                "\"speedup\": %.4f},\n",
                h2h.bsr_seconds, h2h.stencil_seconds, h2h.speedup);
   std::fprintf(f,
-               "  \"block_vs_crs_tiled_width32\": {\"format\": \"%s\", "
-               "\"variant\": \"%s\", \"seconds_per_sweep\": %.6e, "
-               "\"speedup\": %.4f}\n}\n",
+               "  \"block_vs_crs_width32\": {\"format\": \"%s\", "
+               "\"seconds_per_sweep\": %.6e, \"speedup\": %.4f}\n}\n",
                best_block32 != nullptr ? best_block32->format : "none",
-               best_block32 != nullptr ? best_block32->variant : "none",
                best_block32 != nullptr ? best_block32->seconds : 0.0,
                block_speedup32);
   std::fclose(f);
@@ -750,14 +685,9 @@ void BM_spmmv_crs(benchmark::State& state) {
 }
 BENCHMARK(BM_spmmv_crs)->Arg(1)->Arg(4)->Arg(16)->Arg(32)->Arg(64);
 
-// range(0) = width, range(1) = variant (0 generic, 1 fixed) — the same
-// dispatch switch the autotuner probes.
 void BM_aug_spmmv_full(benchmark::State& state) {
   const auto& a = matrix();
   const int width = static_cast<int>(state.range(0));
-  sparse::set_kernel_variant(state.range(1) == 0
-                                 ? sparse::KernelVariant::force_generic
-                                 : sparse::KernelVariant::force_fixed);
   auto v = block(a.ncols(), width);
   auto w = block(a.nrows(), width);
   std::vector<complex_t> dvv(static_cast<std::size_t>(width)),
@@ -767,7 +697,6 @@ void BM_aug_spmmv_full(benchmark::State& state) {
     sparse::aug_spmmv(a, rec, v, w, dvv, dwv);
     benchmark::DoNotOptimize(w.data());
   }
-  sparse::set_kernel_variant(sparse::KernelVariant::auto_dispatch);
   const double flops_per_sweep =
       width * (static_cast<double>(a.nnz()) * 8.0 +
                static_cast<double>(a.nrows()) * 34.0);
@@ -775,15 +704,11 @@ void BM_aug_spmmv_full(benchmark::State& state) {
       static_cast<double>(state.iterations()) * flops_per_sweep / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_aug_spmmv_full)
-    ->ArgsProduct({{1, 4, 16, 32}, {0, 1}});
+BENCHMARK(BM_aug_spmmv_full)->Arg(1)->Arg(4)->Arg(16)->Arg(32);
 
 void BM_aug_spmmv_sell(benchmark::State& state) {
   const auto& sell = sell_matrix();
   const int width = static_cast<int>(state.range(0));
-  sparse::set_kernel_variant(state.range(1) == 0
-                                 ? sparse::KernelVariant::force_generic
-                                 : sparse::KernelVariant::force_fixed);
   auto v = block(sell.ncols(), width);
   auto w = block(sell.nrows(), width);
   std::vector<complex_t> dvv(static_cast<std::size_t>(width)),
@@ -793,7 +718,6 @@ void BM_aug_spmmv_sell(benchmark::State& state) {
     sparse::aug_spmmv(sell, rec, v, w, dvv, dwv);
     benchmark::DoNotOptimize(w.data());
   }
-  sparse::set_kernel_variant(sparse::KernelVariant::auto_dispatch);
   const double flops_per_sweep =
       width * (static_cast<double>(sell.nnz()) * 8.0 +
                static_cast<double>(sell.nrows()) * 34.0);
@@ -801,8 +725,7 @@ void BM_aug_spmmv_sell(benchmark::State& state) {
       static_cast<double>(state.iterations()) * flops_per_sweep / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_aug_spmmv_sell)
-    ->ArgsProduct({{8, 32}, {0, 1}});
+BENCHMARK(BM_aug_spmmv_sell)->Arg(8)->Arg(32);
 
 void BM_aug_spmmv_nodots(benchmark::State& state) {
   const auto& a = matrix();

@@ -170,11 +170,6 @@ int main(int argc, char** argv) {
     specs.push_back({7000 + static_cast<std::uint64_t>(i), 1, num_moments});
   }
 
-  // tune_on_register installs the tile-tuned kernel configuration for each
-  // mode's batch width (cached across runs in .kpm_tune_cache.json).  The
-  // default auto-tile policy splits a 32-lane sweep into register-budget
-  // sub-passes, and on row-major blocks every sub-pass re-streams the full
-  // v/w arrays — a ~3x step-time penalty the tuner's probe rejects.
   std::vector<ModeResult> results;
   {
     service::ServiceConfig cfg;
@@ -182,7 +177,6 @@ int main(int argc, char** argv) {
     cfg.max_batch_width = 1;
     cfg.chunk_moments = num_moments;
     cfg.cache_bytes = 0;  // no memoization: every job pays its sweep
-    cfg.tune_on_register = !smoke;
     service::KpmService solo(cfg);
     solo.register_model("ti", h, s);
     results.push_back(run_mode("solo", solo, specs));
@@ -194,7 +188,6 @@ int main(int argc, char** argv) {
     cfg.num_workers = 1;
     cfg.max_batch_width = 32;
     cfg.chunk_moments = num_moments;
-    cfg.tune_on_register = !smoke;
     service::KpmService coalesced(cfg);
     coalesced.register_model("ti", h, s);
     results.push_back(run_mode("coalesced", coalesced, specs));

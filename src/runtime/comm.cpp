@@ -257,7 +257,10 @@ namespace {
 template <class T>
 std::vector<std::byte> pack(std::span<const T> data) {
   std::vector<std::byte> bytes(data.size_bytes());
-  std::memcpy(bytes.data(), data.data(), data.size_bytes());
+  // An empty span may carry null pointers, which memcpy must not see.
+  if (!data.empty()) {
+    std::memcpy(bytes.data(), data.data(), data.size_bytes());
+  }
   return bytes;
 }
 
@@ -283,7 +286,7 @@ void Communicator::send(int dst, int tag, std::span<const complex_t> data) {
 void Communicator::recv(int src, int tag, std::span<complex_t> out) {
   const auto bytes = hub_->recv(rank_, src, tag);
   require(bytes.size() == out.size_bytes(), "recv: unexpected message size");
-  std::memcpy(out.data(), bytes.data(), bytes.size());
+  if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
 }
 
 void Communicator::send(int dst, int tag, std::span<const global_index> data) {
@@ -295,7 +298,7 @@ std::vector<global_index> Communicator::recv_indices(int src, int tag) {
   require(bytes.size() % sizeof(global_index) == 0,
           "recv_indices: unexpected message size");
   std::vector<global_index> out(bytes.size() / sizeof(global_index));
-  std::memcpy(out.data(), bytes.data(), bytes.size());
+  if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
   return out;
 }
 

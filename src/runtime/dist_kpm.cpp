@@ -3,7 +3,6 @@
 #include <array>
 #include <optional>
 
-#include "runtime/autotune.hpp"
 #include "sparse/kpm_kernels.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
@@ -21,13 +20,6 @@ DistMomentsResult distributed_moments_impl(
           "distributed_moments: num_moments must be even and >= 2");
   require(p.num_random >= 1, "distributed_moments: num_random >= 1");
   const int width = p.num_random;
-  if (opts.tune_tiles) {
-    // Collective lockstep probe: all ranks leave with the same TileConfig
-    // installed, so both the full sweeps and the split interior/boundary
-    // sweeps below run cache-blocked.
-    (void)tune_distributed_tiles(comm, dist, width, TileTuneParams{},
-                                 opts.tile_cache_path);
-  }
   const global_index nlocal = dist.local_rows();
   const global_index next = dist.extended_rows();
   const global_index row_begin = dist.partition().begin(comm.rank());

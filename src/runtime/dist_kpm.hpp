@@ -25,15 +25,8 @@ struct DistMomentsResult {
 };
 
 /// Optional performance knobs of the distributed solvers.  Defaults change
-/// nothing: the sweeps run with whatever kernel variant / tile configuration
-/// is currently installed.
+/// nothing.
 struct DistKpmOptions {
-  /// Run the collective tile probe (runtime::tune_distributed_tiles) before
-  /// the Chebyshev loop so all ranks sweep with the autotuned TileConfig.
-  bool tune_tiles = false;
-  /// Cache file for the tile probe; empty = AutoTuner default
-  /// ($KPM_TUNE_CACHE or .kpm_tune_cache.json).
-  std::string tile_cache_path;
   /// Adaptive measured-rate load balancing (runtime::LoadBalancer): time
   /// every fused sweep, and between measurement windows repartition the
   /// matrix and migrate the in-flight |v>, |w> rows whenever the measured
@@ -76,9 +69,8 @@ struct DistKpmOptions {
 /// references no halo column, wherever it sits in the row order) while the
 /// messages are in flight, then receives and finishes the boundary rows —
 /// the communication/computation overlap the paper's outlook proposes.
-/// Both the interior and the boundary sweeps honor the installed
-/// TileConfig.  Bit-compatible dot products vs the non-overlapped path are
-/// NOT guaranteed (summation order differs), but moments agree to reduction
+/// Bit-compatible dot products vs the non-overlapped path are NOT
+/// guaranteed (summation order differs), but moments agree to reduction
 /// round-off.
 [[nodiscard]] DistMomentsResult distributed_moments_overlapped(
     Communicator& comm, DistributedMatrix& dist,

@@ -13,12 +13,12 @@
 //  1. Distributed checkpoints.  At every chunk boundary the committed state
 //     (recurrence vectors |v>, |w>, the reduced eta table, the partition,
 //     the balancer's smoothed per-rank rates, and the repartition schedule)
-//     is written atomically (tmp + rename, like the autotuner cache) when a
-//     checkpoint path is configured.  A restore is fingerprint-checked
-//     against the operator + scaling (core::operator_fingerprint) and
-//     rejected on mismatch; a resumed solve reproduces the uninterrupted
-//     moments bit for bit (chunked eta reduction is element-wise over the
-//     same fixed tree as one at_end reduction).
+//     is written atomically (tmp + rename) when a checkpoint path is
+//     configured.  A restore is fingerprint-checked against the operator
+//     + scaling (core::operator_fingerprint) and rejected on mismatch; a
+//     resumed solve reproduces the uninterrupted moments bit for bit
+//     (chunked eta reduction is element-wise over the same fixed tree as
+//     one at_end reduction).
 //
 //  2. Rank leave / join / fail.  Membership changes happen at chunk
 //     boundaries as a forced repartition recorded in the replayable

@@ -46,7 +46,7 @@ RowPartition RowPartition::weighted(global_index n,
   // is clamped so the ranks before it hold at least floor_rows rows each and
   // the ranks after it can still claim theirs.  (The old max-only clamp let
   // llround drift silently starve a middle rank to zero rows under skewed
-  // weights, which collective tile tuning then deadlocked on.)
+  // weights, which collective probes then deadlocked on.)
   for (std::size_t r = 1; r < weights.size(); ++r) {
     const global_index lo = p.offsets_[r - 1] + floor_rows;
     const global_index hi =

@@ -24,8 +24,8 @@ class RowPartition {
   /// Every rank is guaranteed at least `min_rows` rows whenever the problem
   /// is large enough (`n >= min_rows * ranks`; otherwise the floor degrades
   /// to n / ranks).  The default floor of 1 protects skewed weights on many
-  /// ranks from rounding a middle rank down to zero rows — collective tile
-  /// tuning and halo negotiation assume every rank participates.  Pass
+  /// ranks from rounding a middle rank down to zero rows — collective
+  /// probes and halo negotiation assume every rank participates.  Pass
   /// `min_rows = 0` to deliberately allow empty ranks.
   [[nodiscard]] static RowPartition weighted(global_index n,
                                              std::span<const double> weights,

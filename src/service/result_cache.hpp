@@ -1,14 +1,13 @@
 // Content-addressed result cache of the KPM service (DESIGN.md §5g).
 //
 // Finished spectra are memoized under their full content key
-// ("model:params:M<M>:R<R>:s<seed>:<kind>" — the same shape as the
-// autotuner's tile cache keys), so a repeat request returns in O(1) without
-// touching the matrix.  The cache is bounded: entries are kept in LRU order
-// and evicted when the accounted byte footprint would exceed the budget, so
-// a long-lived daemon cannot grow without limit.  All operations are
-// internally locked; values are handed out as shared_ptr<const ...> so an
-// entry evicted while a client still reads it stays alive until the last
-// reader drops it.
+// ("model:params:M<M>:R<R>:s<seed>:<kind>"), so a repeat request returns in
+// O(1) without touching the matrix.  The cache is bounded: entries are kept
+// in LRU order and evicted when the accounted byte footprint would exceed
+// the budget, so a long-lived daemon cannot grow without limit.  All
+// operations are internally locked; values are handed out as
+// shared_ptr<const ...> so an entry evicted while a client still reads it
+// stays alive until the last reader drops it.
 #pragma once
 
 #include <cstddef>

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/sweep_session.hpp"
-#include "runtime/autotune.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -186,11 +185,6 @@ KpmService::~KpmService() { shutdown(); }
 
 void KpmService::register_operator(const std::string& key, OperatorStore h,
                                    const physics::Scaling& s) {
-  if (cfg_.tune_on_register) {
-    runtime::AutoTuner tuner(cfg_.tune_cache_path);
-    std::visit([&](const auto& m) { tuner.tune_tiles(m, cfg_.max_batch_width); },
-               h);
-  }
   auto model = std::make_shared<Model>();
   model->h = std::move(h);
   model->scaling = s;

@@ -6,10 +6,10 @@
 // Hamiltonian can legally share one sweep.  KpmService exploits exactly
 // that: independent jobs (model + M + R + seed) are admitted to a queue,
 // coalesced per model into wide batched aug_spmmv sweeps up to the
-// configured batch width (default 32, the width-dispatch sweet spot the
-// autotuner probes), advanced chunk by chunk on a SweepSession, and their
-// partial moments streamed back per job as recurrence steps complete — a
-// consumer that watches moment decay can cancel early and free its lanes.
+// configured batch width (default 32), advanced chunk by chunk on a
+// SweepSession, and their partial moments streamed back per job as
+// recurrence steps complete — a consumer that watches moment decay can
+// cancel early and free its lanes.
 // Finished spectra are memoized in a bounded content-addressed ResultCache,
 // so repeat requests return in O(1) without any sweep.
 //
@@ -160,10 +160,6 @@ struct ServiceConfig {
   /// Compact the sweep block when early finishers / cancellations free
   /// lanes, so the remaining jobs sweep at the narrower width.
   bool compact_freed_lanes = true;
-  /// Tile-tune (runtime::AutoTuner, persistent cache) each registered model
-  /// at max_batch_width and install the winner for the production sweeps.
-  bool tune_on_register = false;
-  std::string tune_cache_path;  ///< empty = AutoTuner default
 };
 
 struct ServiceStats {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <type_traits>
@@ -10,11 +9,6 @@
 
 #ifdef _OPENMP
 #include <omp.h>
-#endif
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#define KPM_HAVE_NT_STORES 1
 #endif
 
 #include "util/aligned.hpp"
@@ -29,19 +23,6 @@ inline int omp_get_max_threads() { return 1; }
 inline int omp_get_num_threads() { return 1; }
 inline int omp_get_thread_num() { return 0; }
 #endif
-
-std::atomic<KernelVariant> g_variant{KernelVariant::auto_dispatch};
-
-// TileConfig split into per-field atomics (read on every block-kernel call;
-// same "don't flip mid-flight" caveat as the variant override).
-std::atomic<int> g_tile_width{0};
-std::atomic<global_index> g_band_rows{0};
-std::atomic<bool> g_nt_stores{false};
-
-/// Sub-width used by the automatic tiling policy: a 16-lane tile keeps the
-/// split accumulators in 4 ZMM (8 YMM) registers, and BENCH_kernels.json
-/// shows the single-pass fixed bodies peaking at R = 16 before spilling.
-constexpr int kAutoTileWidth = 16;
 
 // The kernels accept rectangular matrices with ncols >= nrows: a
 // distributed-memory partition owns `nrows` rows but reads a halo-extended
@@ -111,9 +92,8 @@ struct ScalarsRI {
 
 // Lane-count tags of the dispatch layer: FixedWidth<N> makes every lane loop
 // a compile-time-constant trip count (fully unrolled / vectorized with
-// stack-resident accumulators), RuntimeWidth is the generic fallback.  A tag
-// now describes the lanes of ONE column-tile pass, not necessarily the full
-// block width.
+// stack-resident accumulators), RuntimeWidth is the generic fallback.  The
+// tag describes the full block width: every row is one pass over all lanes.
 template <int N>
 struct FixedWidth {
   static constexpr bool fixed = true;
@@ -127,93 +107,20 @@ struct RuntimeWidth {
   int get() const noexcept { return w; }
 };
 
-// ---------------------------------------------------------------------------
-// Execution plan of one block sweep: the column-tile passes each row is run
-// through, the per-thread row-band height, and the store flavor.  An untiled
-// sweep is the single pass {width, 0}.
-struct TilePass {
-  int lanes;
-  int offset;  // first lane (complex elements into the row)
-};
-
-struct SweepPlan {
-  std::array<TilePass, 2> inline_passes{};  // storage for the common cases
-  std::vector<TilePass> overflow;           // widths needing > 2 passes
-  int num_passes = 0;
-  global_index band_rows = 0;  // 0 = whole per-thread range
-  bool nt = false;
-
-  void add(int lanes, int offset) {
-    if (num_passes < static_cast<int>(inline_passes.size())) {
-      inline_passes[static_cast<std::size_t>(num_passes)] = {lanes, offset};
-    } else {
-      if (overflow.empty()) {
-        overflow.assign(inline_passes.begin(), inline_passes.end());
-      }
-      overflow.push_back({lanes, offset});
-    }
-    ++num_passes;
-  }
-  [[nodiscard]] const TilePass* passes() const noexcept {
-    return overflow.empty() ? inline_passes.data() : overflow.data();
-  }
-  [[nodiscard]] int size() const noexcept { return num_passes; }
-};
-
-/// Resolves the automatic policy: the sub-width `width` will be tiled into,
-/// or a value >= width when the sweep should run as one pass.  `auto_tile`
-/// is the register-budget sub-width of the automatic policy — block formats
-/// keep b accumulator rows live per lane, so they pass a smaller budget.
-int resolve_tile_width(int width, KernelVariant variant,
-                       int auto_tile = kAutoTileWidth) {
-  if (variant == KernelVariant::force_generic) return width;
-  const int cfg = g_tile_width.load(std::memory_order_relaxed);
-  if (cfg < 0) return width;  // tiling disabled
-  if (cfg > 0) return cfg;
-  // Auto policy: tile only above the register budget.
-  return width > auto_tile ? auto_tile : width;
-}
-
-/// Automatic column-tile sub-width for a b x b block kernel.  The ib-outer
-/// pass keeps a single accumulator row live — the same register footprint
-/// as the scalar kernels — so the block formats share kAutoTileWidth.
-constexpr int block_auto_tile(int) { return kAutoTileWidth; }
-
-SweepPlan make_plan(int width, int auto_tile = kAutoTileWidth) {
-  const KernelVariant variant = g_variant.load(std::memory_order_relaxed);
-  SweepPlan plan;
-  if (variant != KernelVariant::force_generic) {
-    plan.band_rows = g_band_rows.load(std::memory_order_relaxed);
-    plan.nt = g_nt_stores.load(std::memory_order_relaxed);
-  }
-  const int tile = resolve_tile_width(width, variant, auto_tile);
-  if (tile < width) {
-    int off = 0;
-    for (; off + tile <= width; off += tile) plan.add(tile, off);
-    if (off < width) plan.add(width - off, off);
-  } else {
-    plan.add(width, 0);
-  }
-  return plan;
-}
-
-/// Routes one pass's lane count onto a FixedWidth<N> instantiation, or the
-/// RuntimeWidth body for untabulated counts / the forced-generic variant.
+/// Routes the block width onto a FixedWidth<N> instantiation, or the
+/// RuntimeWidth body for untabulated widths.
 template <class F>
-void dispatch_lanes(int lanes, KernelVariant variant, F&& f) {
-  if (variant != KernelVariant::force_generic) {
-    switch (lanes) {
-      case 1: f(FixedWidth<1>{}); return;
-      case 2: f(FixedWidth<2>{}); return;
-      case 4: f(FixedWidth<4>{}); return;
-      case 8: f(FixedWidth<8>{}); return;
-      case 16: f(FixedWidth<16>{}); return;
-      case 32: f(FixedWidth<32>{}); return;
-      case 64: f(FixedWidth<64>{}); return;
-      default: break;
-    }
+void dispatch_lanes(int width, F&& f) {
+  switch (width) {
+    case 1: f(FixedWidth<1>{}); return;
+    case 2: f(FixedWidth<2>{}); return;
+    case 4: f(FixedWidth<4>{}); return;
+    case 8: f(FixedWidth<8>{}); return;
+    case 16: f(FixedWidth<16>{}); return;
+    case 32: f(FixedWidth<32>{}); return;
+    case 64: f(FixedWidth<64>{}); return;
+    default: f(RuntimeWidth{width}); return;
   }
-  f(RuntimeWidth{lanes});
 }
 
 // ---------------------------------------------------------------------------
@@ -261,11 +168,9 @@ class DotPartials {
 
 // ---------------------------------------------------------------------------
 // Shared row epilogue: w_i = alpha*acc + beta*v_i + gamma*w_i on split
-// parts, plus the on-the-fly |v_i|^2 and conj(w_new)*v_i partials.  `vi`,
-// `wi` and the dot partials are already offset to the pass's first lane.
-// The NT branch streams each (re, im) pair past the cache; both branches
-// evaluate the identical expression tree, so the stored bits agree.
-template <class W, bool WithDots, bool NT>
+// parts, plus the on-the-fly |v_i|^2 and conj(w_new)*v_i partials.  `vi` and
+// `wi` point at row i of v and w.
+template <class W, bool WithDots>
 inline void finish_row(W wt, const ScalarsRI& s,
                        const double* __restrict__ acc_re,
                        const double* __restrict__ acc_im,
@@ -273,28 +178,6 @@ inline void finish_row(W wt, const ScalarsRI& s,
                        double* __restrict__ lvv, double* __restrict__ lwr,
                        double* __restrict__ lwi) {
   const int lanes = wt.get();
-#ifdef KPM_HAVE_NT_STORES
-  if constexpr (NT) {
-    for (int r = 0; r < lanes; ++r) {
-      const double vre = vi[2 * r], vim = vi[2 * r + 1];
-      const double wre0 = wi[2 * r], wim0 = wi[2 * r + 1];
-      const double sre = acc_re[r], sim = acc_im[r];
-      const double wre = s.ar * sre - s.ai * sim + s.br * vre - s.bi * vim +
-                         s.gr * wre0 - s.gi * wim0;
-      const double wim = s.ar * sim + s.ai * sre + s.br * vim + s.bi * vre +
-                         s.gr * wim0 + s.gi * wre0;
-      // Rows are 16-byte aligned (complex elements in a 64-byte aligned
-      // allocation), the _mm_stream_pd contract.
-      _mm_stream_pd(wi + 2 * r, _mm_set_pd(wim, wre));
-      if constexpr (WithDots) {
-        lvv[r] += vre * vre + vim * vim;
-        lwr[r] += wre * vre + wim * vim;  // Re(conj(w_new) * v)
-        lwi[r] += wre * vim - wim * vre;  // Im(conj(w_new) * v)
-      }
-    }
-    return;
-  }
-#endif
 #pragma omp simd
   for (int r = 0; r < lanes; ++r) {
     const double vre = vi[2 * r], vim = vi[2 * r + 1];
@@ -333,15 +216,14 @@ struct PassAccumulators {
   }
 };
 
-// One column-tile pass of the CRS row loop over [row_begin, row_end): `wt`
-// lanes starting at complex-column `off` of a block vector whose full row
-// stride is `stride` complex elements.  Rows are this thread's only — no
-// worksharing construct, the caller did the static split.
-template <class W, bool WithDots, bool NT>
+// The CRS row loop over [row_begin, row_end), all `wt` lanes of each row in
+// one pass.  Rows are this thread's only — no worksharing construct, the
+// caller did the static split.
+template <class W, bool WithDots>
 void crs_pass(const CrsMatrix& a, const ScalarsRI& s,
               const double* __restrict__ vd, double* __restrict__ wd,
-              int stride, int off, global_index row_begin, global_index row_end,
-              W wt, double* __restrict__ lvv, double* __restrict__ lwr,
+              global_index row_begin, global_index row_end, W wt,
+              double* __restrict__ lvv, double* __restrict__ lwr,
               double* __restrict__ lwi, double* acc_scratch) {
   const int lanes = wt.get();
   const auto* __restrict__ row_ptr = a.row_ptr().data();
@@ -359,27 +241,26 @@ void crs_pass(const CrsMatrix& a, const ScalarsRI& s,
     for (global_index k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
       const double mre = vald[2 * k], mim = vald[2 * k + 1];
       const double* __restrict__ vr =
-          vd + 2 * (static_cast<std::size_t>(col[k]) * stride + off);
+          vd + 2 * static_cast<std::size_t>(col[k]) * lanes;
 #pragma omp simd
       for (int r = 0; r < lanes; ++r) {
         acc_re[r] += mre * vr[2 * r] - mim * vr[2 * r + 1];
         acc_im[r] += mre * vr[2 * r + 1] + mim * vr[2 * r];
       }
     }
-    const std::size_t base = static_cast<std::size_t>(i) * stride + off;
-    finish_row<W, WithDots, NT>(wt, s, acc_re, acc_im, vd + 2 * base,
-                                wd + 2 * base, lvv, lwr, lwi);
+    const std::size_t base = static_cast<std::size_t>(i) * lanes;
+    finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * base,
+                            wd + 2 * base, lvv, lwr, lwi);
   }
 }
 
-// One column-tile pass of the SELL chunk loop over [chunk_begin, chunk_end).
-template <class W, bool WithDots, bool NT>
+// The SELL chunk loop over [chunk_begin, chunk_end).
+template <class W, bool WithDots>
 void sell_pass(const SellMatrix& a, const ScalarsRI& s,
                const double* __restrict__ vd, double* __restrict__ wd,
-               int stride, int off, global_index chunk_begin,
-               global_index chunk_end, W wt, double* __restrict__ lvv,
-               double* __restrict__ lwr, double* __restrict__ lwi,
-               double* acc_scratch) {
+               global_index chunk_begin, global_index chunk_end, W wt,
+               double* __restrict__ lvv, double* __restrict__ lwr,
+               double* __restrict__ lwi, double* acc_scratch) {
   const int lanes = wt.get();
   const int chunk = a.chunk_height();
   const global_index nrows = a.nrows();
@@ -406,16 +287,16 @@ void sell_pass(const SellMatrix& a, const ScalarsRI& s,
             base + static_cast<global_index>(j) * chunk + lane;
         const double mre = vald[2 * moff], mim = vald[2 * moff + 1];
         const double* __restrict__ vr =
-            vd + 2 * (static_cast<std::size_t>(col[moff]) * stride + off);
+            vd + 2 * static_cast<std::size_t>(col[moff]) * lanes;
 #pragma omp simd
         for (int r = 0; r < lanes; ++r) {
           acc_re[r] += mre * vr[2 * r] - mim * vr[2 * r + 1];
           acc_im[r] += mre * vr[2 * r + 1] + mim * vr[2 * r];
         }
       }
-      const std::size_t wbase = static_cast<std::size_t>(i) * stride + off;
-      finish_row<W, WithDots, NT>(wt, s, acc_re, acc_im, vd + 2 * wbase,
-                                  wd + 2 * wbase, lvv, lwr, lwi);
+      const std::size_t wbase = static_cast<std::size_t>(i) * lanes;
+      finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * wbase,
+                              wd + 2 * wbase, lvv, lwr, lwi);
     }
   }
 }
@@ -457,7 +338,7 @@ template <int B, class VT, class W>
 inline void block_mac_row(W wt, const VT* __restrict__ blk,
                           std::uint16_t mask, int ib,
                           const double* __restrict__ vd, std::size_t vrow0,
-                          int stride, int off, double* __restrict__ acc_re,
+                          double* __restrict__ acc_re,
                           double* __restrict__ acc_im) {
   const int lanes = wt.get();
   constexpr std::uint16_t row_bits =
@@ -469,7 +350,7 @@ inline void block_mac_row(W wt, const VT* __restrict__ blk,
     const double mre = static_cast<double>(blk[2 * (jb * B + ib)]);
     const double mim = static_cast<double>(blk[2 * (jb * B + ib) + 1]);
     const double* __restrict__ vr =
-        vd + 2 * ((vrow0 + static_cast<std::size_t>(jb)) * stride + off);
+        vd + 2 * (vrow0 + static_cast<std::size_t>(jb)) * lanes;
 #pragma omp simd
     for (int r = 0; r < lanes; ++r) {
       acc_re[r] += mre * vr[2 * r] - mim * vr[2 * r + 1];
@@ -486,7 +367,7 @@ template <int B, class W>
 inline void onsite_mac_row(W wt, const double* __restrict__ blk,
                            std::uint16_t mask, int ib, double d,
                            const double* __restrict__ vd, std::size_t vrow0,
-                           int stride, int off, double* __restrict__ acc_re,
+                           double* __restrict__ acc_re,
                            double* __restrict__ acc_im) {
   const int lanes = wt.get();
   constexpr std::uint16_t row_bits = B == 4 ? 0x1111 : (B == 2 ? 0x5 : 0x1);
@@ -498,7 +379,7 @@ inline void onsite_mac_row(W wt, const double* __restrict__ blk,
     const double mim = blk[2 * (jb * B + ib) + 1];
     if (jb == ib) mre += d;
     const double* __restrict__ vr =
-        vd + 2 * ((vrow0 + static_cast<std::size_t>(jb)) * stride + off);
+        vd + 2 * (vrow0 + static_cast<std::size_t>(jb)) * lanes;
 #pragma omp simd
     for (int r = 0; r < lanes; ++r) {
       acc_re[r] += mre * vr[2 * r] - mim * vr[2 * r + 1];
@@ -508,8 +389,7 @@ inline void onsite_mac_row(W wt, const double* __restrict__ blk,
 }
 
 
-// One column-tile pass of the BSR loop over the *scalar* rows
-// [row_begin, row_end).
+// The BSR loop over the *scalar* rows [row_begin, row_end).
 //
 // The loop walks scalar rows (block row br = i/B, sub-row ib = i%B) so that
 // threads can split the scalar row space with the same static partition as
@@ -519,13 +399,12 @@ inline void onsite_mac_row(W wt, const double* __restrict__ blk,
 // instead of keeping B rows live and pushing every multiply-accumulate
 // through L1; the B - 1 re-walks of a block row's values, indices and v
 // block-rows hit L1 (a TI block row is ~2 KB).
-template <int B, class VT, bool D16, class W, bool WithDots, bool NT>
+template <int B, class VT, bool D16, class W, bool WithDots>
 void bsr_pass(const BsrMatrix& a, const ScalarsRI& s,
               const double* __restrict__ vd, double* __restrict__ wd,
-              int stride, int off, global_index row_begin,
-              global_index row_end, W wt, double* __restrict__ lvv,
-              double* __restrict__ lwr, double* __restrict__ lwi,
-              double* acc_scratch) {
+              global_index row_begin, global_index row_end, W wt,
+              double* __restrict__ lvv, double* __restrict__ lwr,
+              double* __restrict__ lwi, double* acc_scratch) {
   const int lanes = wt.get();
   const auto* __restrict__ bptr = a.block_ptr().data();
   const auto* __restrict__ bcol = a.block_col().data();
@@ -557,16 +436,15 @@ void bsr_pass(const BsrMatrix& a, const ScalarsRI& s,
       const VT* __restrict__ blk =
           vald + 2 * static_cast<std::size_t>(k) * B * B;
       block_mac_row<B, VT>(wt, blk, bmask[k], ib, vd,
-                           static_cast<std::size_t>(bc) * B, stride, off,
-                           acc_re, acc_im);
+                           static_cast<std::size_t>(bc) * B, acc_re, acc_im);
     }
-    const std::size_t base = static_cast<std::size_t>(i) * stride + off;
-    finish_row<W, WithDots, NT>(wt, s, acc_re, acc_im, vd + 2 * base,
-                                wd + 2 * base, lvv, lwr, lwi);
+    const std::size_t base = static_cast<std::size_t>(i) * lanes;
+    finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * base,
+                            wd + 2 * base, lvv, lwr, lwi);
   }
 }
 
-// One column-tile pass of the matrix-free stencil over the scalar rows
+// The matrix-free stencil loop over the scalar rows
 // [row_begin, row_end) (DESIGN.md §5h).  Interior rows multiply the shared
 // Term coefficient blocks (registers/L1) against branch-free neighbour
 // offsets — no matrix stream at all except the optional one-f64-per-row
@@ -574,13 +452,12 @@ void bsr_pass(const BsrMatrix& a, const ScalarsRI& s,
 // indexed entries.  Per row the multiply-accumulate order is ascending
 // delta, ascending jb within a term = the assembled-CRS ascending-column
 // order, so results are bitwise identical to the CRS pass.
-template <int B, bool Diag, class W, bool WithDots, bool NT>
+template <int B, bool Diag, class W, bool WithDots>
 void stencil_pass(const StencilOperator& a, const ScalarsRI& s,
                   const double* __restrict__ vd, double* __restrict__ wd,
-                  int stride, int off, global_index row_begin,
-                  global_index row_end, W wt, double* __restrict__ lvv,
-                  double* __restrict__ lwr, double* __restrict__ lwi,
-                  double* acc_scratch) {
+                  global_index row_begin, global_index row_end, W wt,
+                  double* __restrict__ lvv, double* __restrict__ lwr,
+                  double* __restrict__ lwi, double* acc_scratch) {
   const int lanes = wt.get();
   const std::span<const StencilOperator::Term> terms = a.terms();
   const int nterms = static_cast<int>(terms.size());
@@ -614,17 +491,16 @@ void stencil_pass(const StencilOperator& a, const ScalarsRI& s,
           if constexpr (Diag) {
             if (t == onsite) {
               onsite_mac_row<B>(wt, re_im(tm.coeff.data()), tm.mask, ib,
-                                dg[i], vd, vrow0, stride, off, acc_re,
-                                acc_im);
+                                dg[i], vd, vrow0, acc_re, acc_im);
               continue;
             }
           }
           block_mac_row<B, double>(wt, re_im(tm.coeff.data()), tm.mask, ib,
-                                   vd, vrow0, stride, off, acc_re, acc_im);
+                                   vd, vrow0, acc_re, acc_im);
         }
-        const std::size_t base = static_cast<std::size_t>(i) * stride + off;
-        finish_row<W, WithDots, NT>(wt, s, acc_re, acc_im, vd + 2 * base,
-                                    wd + 2 * base, lvv, lwr, lwi);
+        const std::size_t base = static_cast<std::size_t>(i) * lanes;
+        finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * base,
+                                wd + 2 * base, lvv, lwr, lwi);
       }
     } else {
       for (global_index i = lo; i < hi; ++i) {
@@ -637,32 +513,30 @@ void stencil_pass(const StencilOperator& a, const ScalarsRI& s,
         for (global_index k = bptr[q]; k < bptr[q + 1]; ++k) {
           const double mre = bval[2 * k], mim = bval[2 * k + 1];
           const double* __restrict__ vr =
-              vd + 2 * (static_cast<std::size_t>(bcol[k]) * stride + off);
+              vd + 2 * static_cast<std::size_t>(bcol[k]) * lanes;
 #pragma omp simd
           for (int r = 0; r < lanes; ++r) {
             acc_re[r] += mre * vr[2 * r] - mim * vr[2 * r + 1];
             acc_im[r] += mre * vr[2 * r + 1] + mim * vr[2 * r];
           }
         }
-        const std::size_t base = static_cast<std::size_t>(i) * stride + off;
-        finish_row<W, WithDots, NT>(wt, s, acc_re, acc_im, vd + 2 * base,
-                                    wd + 2 * base, lvv, lwr, lwi);
+        const std::size_t base = static_cast<std::size_t>(i) * lanes;
+        finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * base,
+                                wd + 2 * base, lvv, lwr, lwi);
       }
     }
   }
 }
 
-// One column-tile pass of the SELL-block chunk loop over
-// [chunk_begin, chunk_end); padding blocks cost nothing via mask 0.  Same
-// ib-outer structure as bsr_pass: one output row's accumulators stay in
-// registers across the lane's whole block walk.
-template <int B, class VT, bool D16, class W, bool WithDots, bool NT>
+// The SELL-block chunk loop over [chunk_begin, chunk_end); padding blocks
+// cost nothing via mask 0.  Same ib-outer structure as bsr_pass: one output
+// row's accumulators stay in registers across the lane's whole block walk.
+template <int B, class VT, bool D16, class W, bool WithDots>
 void sell_block_pass(const SellBlockMatrix& a, const ScalarsRI& s,
                      const double* __restrict__ vd, double* __restrict__ wd,
-                     int stride, int off, global_index chunk_begin,
-                     global_index chunk_end, W wt, double* __restrict__ lvv,
-                     double* __restrict__ lwr, double* __restrict__ lwi,
-                     double* acc_scratch) {
+                     global_index chunk_begin, global_index chunk_end, W wt,
+                     double* __restrict__ lvv, double* __restrict__ lwr,
+                     double* __restrict__ lwi, double* acc_scratch) {
   const int lanes = wt.get();
   const int chunk = a.chunk_height();
   const global_index nbr = a.block_rows();
@@ -701,13 +575,13 @@ void sell_block_pass(const SellBlockMatrix& a, const ScalarsRI& s,
           const VT* __restrict__ blk =
               vald + 2 * static_cast<std::size_t>(moff) * B * B;
           block_mac_row<B, VT>(wt, blk, bmask[moff], ib, vd,
-                               static_cast<std::size_t>(bc) * B, stride, off,
-                               acc_re, acc_im);
+                               static_cast<std::size_t>(bc) * B, acc_re,
+                               acc_im);
         }
         const std::size_t base_w =
-            (static_cast<std::size_t>(br) * B + ib) * stride + off;
-        finish_row<W, WithDots, NT>(wt, s, acc_re, acc_im, vd + 2 * base_w,
-                                    wd + 2 * base_w, lvv, lwr, lwi);
+            (static_cast<std::size_t>(br) * B + ib) * lanes;
+        finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * base_w,
+                                wd + 2 * base_w, lvv, lwr, lwi);
       }
     }
   }
@@ -761,101 +635,71 @@ void dispatch_stencil(int block_dim, bool diag, F&& f) {
 
 // ---------------------------------------------------------------------------
 // Parallel orchestration shared by every block kernel: one parallel region;
-// each thread takes its static slice of the iteration space, walks it band
-// by band, and runs every column-tile pass of the plan per band.  The dot
-// partials accumulate across bands and passes and are published once, so
-// per-lane accumulation order (rows ascending within a thread) — and thus
-// every bit of the result — is independent of the banding/tiling choices.
+// each thread takes its static slice of the iteration space and runs the
+// format-specific row loop over it, all lanes per row in one pass.  The dot
+// partials accumulate across the slice and are published once, so per-lane
+// accumulation order (rows ascending within a thread) — and thus every bit
+// of the result — depends only on the thread count.
 //
 // The iteration space is a list of disjoint ascending segments (the
 // overlapped halo exchange sweeps scattered interior/boundary run lists).
 // Threads split the *position* space — the concatenation of all segments —
 // with the same static_chunk() partition the contiguous path uses; since
 // static_chunk(begin, end, t, n) == begin + static_chunk(0, end-begin, t, n),
-// a single-segment call assigns every row to the same thread as before and
-// stays bitwise identical.
+// a single-segment call assigns every row to the same thread as the
+// contiguous split and stays bitwise identical.
 //
-// `run_pass(wt, nt_tag, band_begin, band_end, pass, lvv, lwr, lwi, scratch)`
-// executes one pass of the format-specific loop.
+// `run_pass(wt, begin, end, lvv, lwr, lwi, scratch)` executes the
+// format-specific loop over [begin, end).
 template <bool WithDots, class RunPass>
-void run_block_kernel(int width, const SweepPlan& plan,
+void run_block_kernel(int width,
                       std::span<const IndexRange<global_index>> segments,
-                      global_index band_step, complex_t* dot_vv,
-                      complex_t* dot_wv, RunPass run_pass, int acc_rows = 1) {
-  const KernelVariant variant = g_variant.load(std::memory_order_relaxed);
+                      complex_t* dot_vv, complex_t* dot_wv, RunPass run_pass) {
   DotPartials partials(WithDots ? width : 0);
   global_index total = 0;
   for (const auto& seg : segments) total += seg.end - seg.begin;
+  dispatch_lanes(width, [&](auto wt) {
 #pragma omp parallel
-  {
-    // Heap scratch per thread: runtime-width accumulators (acc_rows rows of
-    // split re/im per lane — block formats keep b rows live) + dot partials.
-    std::vector<double> scratch(
-        (2 * static_cast<std::size_t>(acc_rows) + 3) *
-            static_cast<std::size_t>(width),
-        0.0);
-    double* acc = scratch.data();
-    double* lvv =
-        acc + 2 * static_cast<std::size_t>(acc_rows) * static_cast<std::size_t>(width);
-    double* lwr = lvv + width;
-    double* lwi = lwr + width;
+    {
+      // Heap scratch per thread: runtime-width accumulators (split re/im per
+      // lane) + dot partials.
+      std::vector<double> scratch(5 * static_cast<std::size_t>(width), 0.0);
+      double* acc = scratch.data();
+      double* lvv = acc + 2 * static_cast<std::size_t>(width);
+      double* lwr = lvv + width;
+      double* lwi = lwr + width;
 
-    const auto mine = static_chunk<global_index>(
-        0, total, omp_get_thread_num(), omp_get_num_threads());
-    global_index pos = 0;  // running start of this segment in position space
-    for (const auto& seg : segments) {
-      if (pos >= mine.end) break;
-      const global_index len = seg.end - seg.begin;
-      const global_index lo = std::max(mine.begin, pos);
-      const global_index hi = std::min(mine.end, pos + len);
-      pos += len;
-      if (lo >= hi) continue;
-      const global_index row_b = seg.begin + (lo - (pos - len));
-      const global_index row_e = seg.begin + (hi - (pos - len));
-      const global_index band =
-          band_step > 0 ? band_step : std::max<global_index>(row_e - row_b, 1);
-      for (global_index b = row_b; b < row_e; b += band) {
-        const global_index e = std::min(b + band, row_e);
-        for (int p = 0; p < plan.size(); ++p) {
-          const TilePass& pass = plan.passes()[p];
-          dispatch_lanes(pass.lanes, variant, [&](auto wt) {
-            if (plan.nt) {
-              run_pass(wt, std::bool_constant<true>{}, b, e, pass,
-                       lvv + pass.offset, lwr + pass.offset, lwi + pass.offset,
-                       acc);
-            } else {
-              run_pass(wt, std::bool_constant<false>{}, b, e, pass,
-                       lvv + pass.offset, lwr + pass.offset, lwi + pass.offset,
-                       acc);
-            }
-          });
-        }
+      const auto mine = static_chunk<global_index>(
+          0, total, omp_get_thread_num(), omp_get_num_threads());
+      global_index pos = 0;  // running start of this segment in position space
+      for (const auto& seg : segments) {
+        if (pos >= mine.end) break;
+        const global_index len = seg.end - seg.begin;
+        const global_index lo = std::max(mine.begin, pos);
+        const global_index hi = std::min(mine.end, pos + len);
+        pos += len;
+        if (lo >= hi) continue;
+        run_pass(wt, seg.begin + (lo - (pos - len)),
+                 seg.begin + (hi - (pos - len)), lvv, lwr, lwi, acc);
       }
-    }
-#ifdef KPM_HAVE_NT_STORES
-    // Streaming stores are weakly ordered; fence before any thread's results
-    // can be observed past the region barrier.
-    if (plan.nt) _mm_sfence();
-#endif
-    if constexpr (WithDots) {
-      partials.store(lvv, lwr, lwi);
+      if constexpr (WithDots) {
+        partials.store(lvv, lwr, lwi);
 #pragma omp barrier
 #pragma omp master
-      partials.reduce_into(dot_vv, dot_wv);
+        partials.reduce_into(dot_vv, dot_wv);
+      }
     }
-  }
+  });
 }
 
 /// Contiguous-range convenience wrapper (the single-segment case).
 template <bool WithDots, class RunPass>
-void run_block_kernel(int width, const SweepPlan& plan, global_index begin,
-                      global_index end, global_index band_step,
-                      complex_t* dot_vv, complex_t* dot_wv, RunPass run_pass,
-                      int acc_rows = 1) {
+void run_block_kernel(int width, global_index begin, global_index end,
+                      complex_t* dot_vv, complex_t* dot_wv, RunPass run_pass) {
   const IndexRange<global_index> seg{begin, end};
-  run_block_kernel<WithDots>(width, plan,
+  run_block_kernel<WithDots>(width,
                              std::span<const IndexRange<global_index>>(&seg, 1),
-                             band_step, dot_vv, dot_wv, run_pass, acc_rows);
+                             dot_vv, dot_wv, run_pass);
 }
 
 template <bool WithDots>
@@ -866,14 +710,12 @@ void aug_spmmv_crs_core_runs(const CrsMatrix& a, const AugScalars& scal,
   const ScalarsRI s(scal);
   const double* vd = re_im(v);
   double* wd = re_im(w);
-  const SweepPlan plan = make_plan(width);
   run_block_kernel<WithDots>(
-      width, plan, runs, plan.band_rows, dot_vv, dot_wv,
-      [&](auto wt, auto nt, global_index b, global_index e,
-          const TilePass& pass, double* lvv, double* lwr, double* lwi,
-          double* acc) {
-        crs_pass<decltype(wt), WithDots, decltype(nt)::value>(
-            a, s, vd, wd, width, pass.offset, b, e, wt, lvv, lwr, lwi, acc);
+      width, runs, dot_vv, dot_wv,
+      [&](auto wt, global_index b, global_index e, double* lvv, double* lwr,
+          double* lwi, double* acc) {
+        crs_pass<decltype(wt), WithDots>(a, s, vd, wd, b, e, wt, lvv, lwr,
+                                         lwi, acc);
       });
 }
 
@@ -895,19 +737,12 @@ void aug_spmmv_sell_core(const SellMatrix& a, const AugScalars& scal,
   const ScalarsRI s(scal);
   const double* vd = re_im(v);
   double* wd = re_im(w);
-  const SweepPlan plan = make_plan(width);
-  // Banding walks whole SELL chunks: band_rows rounded to chunk multiples.
-  const global_index band_chunks =
-      plan.band_rows > 0
-          ? std::max<global_index>(plan.band_rows / a.chunk_height(), 1)
-          : 0;
   run_block_kernel<WithDots>(
-      width, plan, 0, a.num_chunks(), band_chunks, dot_vv, dot_wv,
-      [&](auto wt, auto nt, global_index b, global_index e,
-          const TilePass& pass, double* lvv, double* lwr, double* lwi,
-          double* acc) {
-        sell_pass<decltype(wt), WithDots, decltype(nt)::value>(
-            a, s, vd, wd, width, pass.offset, b, e, wt, lvv, lwr, lwi, acc);
+      width, 0, a.num_chunks(), dot_vv, dot_wv,
+      [&](auto wt, global_index b, global_index e, double* lvv, double* lwr,
+          double* lwi, double* acc) {
+        sell_pass<decltype(wt), WithDots>(a, s, vd, wd, b, e, wt, lvv, lwr,
+                                          lwi, acc);
       });
 }
 
@@ -923,21 +758,17 @@ void aug_spmmv_bsr_core_runs(
   const ScalarsRI s(scal);
   const double* vd = re_im(v);
   double* wd = re_im(w);
-  const int b = a.block_dim();
-  const SweepPlan plan = make_plan(width, block_auto_tile(b));
   dispatch_block_format(
-      b, a.precision() == MatrixPrecision::f32, a.index_bits() == 16,
-      [&](auto bb, auto vt, auto d16) {
+      a.block_dim(), a.precision() == MatrixPrecision::f32,
+      a.index_bits() == 16, [&](auto bb, auto vt, auto d16) {
         constexpr int B = decltype(bb)::value;
         using VT = typename decltype(vt)::type;
         run_block_kernel<WithDots>(
-            width, plan, runs, plan.band_rows, dot_vv, dot_wv,
-            [&](auto wt, auto nt, global_index rb, global_index re,
-                const TilePass& pass, double* lvv, double* lwr, double* lwi,
-                double* acc) {
-              bsr_pass<B, VT, decltype(d16)::value, decltype(wt), WithDots,
-                       decltype(nt)::value>(a, s, vd, wd, width, pass.offset,
-                                            rb, re, wt, lvv, lwr, lwi, acc);
+            width, runs, dot_vv, dot_wv,
+            [&](auto wt, global_index rb, global_index re, double* lvv,
+                double* lwr, double* lwi, double* acc) {
+              bsr_pass<B, VT, decltype(d16)::value, decltype(wt), WithDots>(
+                  a, s, vd, wd, rb, re, wt, lvv, lwr, lwi, acc);
             });
       });
 }
@@ -952,17 +783,14 @@ void aug_spmmv_stencil_core_runs(
   const ScalarsRI s(scal);
   const double* vd = re_im(v);
   double* wd = re_im(w);
-  const SweepPlan plan = make_plan(width, block_auto_tile(a.block_dim()));
   dispatch_stencil(a.block_dim(), a.has_diag(), [&](auto bb, auto dg) {
     constexpr int B = decltype(bb)::value;
     run_block_kernel<WithDots>(
-        width, plan, runs, plan.band_rows, dot_vv, dot_wv,
-        [&](auto wt, auto nt, global_index rb, global_index re,
-            const TilePass& pass, double* lvv, double* lwr, double* lwi,
-            double* acc) {
-          stencil_pass<B, decltype(dg)::value, decltype(wt), WithDots,
-                       decltype(nt)::value>(a, s, vd, wd, width, pass.offset,
-                                            rb, re, wt, lvv, lwr, lwi, acc);
+        width, runs, dot_vv, dot_wv,
+        [&](auto wt, global_index rb, global_index re, double* lvv,
+            double* lwr, double* lwi, double* acc) {
+          stencil_pass<B, decltype(dg)::value, decltype(wt), WithDots>(
+              a, s, vd, wd, rb, re, wt, lvv, lwr, lwi, acc);
         });
   });
 }
@@ -975,31 +803,19 @@ void aug_spmmv_sell_block_core(const SellBlockMatrix& a,
   const ScalarsRI s(scal);
   const double* vd = re_im(v);
   double* wd = re_im(w);
-  const int b = a.block_dim();
-  const SweepPlan plan = make_plan(width, block_auto_tile(b));
-  // Banding walks whole chunks of block rows.
-  const global_index rows_per_chunk =
-      static_cast<global_index>(a.chunk_height()) * b;
-  const global_index band_chunks =
-      plan.band_rows > 0
-          ? std::max<global_index>(plan.band_rows / rows_per_chunk, 1)
-          : 0;
   dispatch_block_format(
-      b, a.precision() == MatrixPrecision::f32, a.index_bits() == 16,
-      [&](auto bb, auto vt, auto d16) {
+      a.block_dim(), a.precision() == MatrixPrecision::f32,
+      a.index_bits() == 16, [&](auto bb, auto vt, auto d16) {
         constexpr int B = decltype(bb)::value;
         using VT = typename decltype(vt)::type;
         run_block_kernel<WithDots>(
-            width, plan, 0, a.num_chunks(), band_chunks, dot_vv, dot_wv,
-            [&](auto wt, auto nt, global_index cb, global_index ce,
-                const TilePass& pass, double* lvv, double* lwr, double* lwi,
-                double* acc) {
+            width, 0, a.num_chunks(), dot_vv, dot_wv,
+            [&](auto wt, global_index cb, global_index ce, double* lvv,
+                double* lwr, double* lwi, double* acc) {
               sell_block_pass<B, VT, decltype(d16)::value, decltype(wt),
-                              WithDots, decltype(nt)::value>(
-                  a, s, vd, wd, width, pass.offset, cb, ce, wt, lvv, lwr, lwi,
-                  acc);
-            },
-            B);
+                              WithDots>(a, s, vd, wd, cb, ce, wt, lvv, lwr,
+                                        lwi, acc);
+            });
       });
 }
 
@@ -1114,63 +930,6 @@ void aug_spmv_sell_core(const SellMatrix& a, const AugScalars& scal,
 }
 
 }  // namespace
-
-void set_kernel_variant(KernelVariant v) noexcept {
-  g_variant.store(v, std::memory_order_relaxed);
-}
-
-KernelVariant kernel_variant() noexcept {
-  return g_variant.load(std::memory_order_relaxed);
-}
-
-const char* kernel_variant_name(KernelVariant v) noexcept {
-  switch (v) {
-    case KernelVariant::auto_dispatch: return "auto";
-    case KernelVariant::force_generic: return "generic";
-    case KernelVariant::force_fixed: return "fixed";
-  }
-  return "unknown";
-}
-
-bool has_fixed_width(int width) noexcept {
-  switch (width) {
-    case 1:
-    case 2:
-    case 4:
-    case 8:
-    case 16:
-    case 32:
-    case 64: return true;
-    default: return false;
-  }
-}
-
-void set_tile_config(const TileConfig& c) noexcept {
-  g_tile_width.store(c.tile_width, std::memory_order_relaxed);
-  g_band_rows.store(c.band_rows >= 0 ? c.band_rows : 0,
-                    std::memory_order_relaxed);
-  g_nt_stores.store(c.nt_stores, std::memory_order_relaxed);
-}
-
-TileConfig tile_config() noexcept {
-  return {g_tile_width.load(std::memory_order_relaxed),
-          g_band_rows.load(std::memory_order_relaxed),
-          g_nt_stores.load(std::memory_order_relaxed)};
-}
-
-int effective_tile_width(int width) noexcept {
-  const int tile =
-      resolve_tile_width(width, g_variant.load(std::memory_order_relaxed));
-  return tile < width ? tile : width;
-}
-
-bool nt_stores_supported() noexcept {
-#ifdef KPM_HAVE_NT_STORES
-  return true;
-#else
-  return false;
-#endif
-}
 
 void aug_spmv(const CrsMatrix& a, const AugScalars& s,
               std::span<const complex_t> v, std::span<complex_t> w,

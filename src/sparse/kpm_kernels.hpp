@@ -18,33 +18,27 @@
 // Passing empty dot spans skips the on-the-fly reductions — that is the
 // "augmented SpMMV without dot products" kernel of paper Fig. 10(b).
 //
-// Kernel dispatch.  Every block kernel (CRS and SELL alike) is routed
-// through one width-dispatch layer: for R in {1, 2, 4, 8, 16, 32, 64} a
-// fixed-width instantiation with stack-resident accumulators and fully
-// unrolled SIMD lanes is selected, any other width falls back to a generic
-// runtime-width body.  The inner complex multiply-accumulate operates on the
-// interleaved (re, im) doubles of the complex storage directly, so the
-// compiler emits plain FMA arithmetic instead of library complex-multiply
-// calls.  See DESIGN.md "Kernel dispatch & reduction strategy".
+// Kernel dispatch.  Every block kernel (all formats; full, row-interval and
+// run-list sweeps) runs one pass per row over all R lanes of the block, the
+// single fused row loop of paper Fig. 5.  For R in {1, 2, 4, 8, 16, 32, 64}
+// a fixed-width instantiation with stack-resident accumulators and fully
+// unrolled SIMD lanes is selected, any other width runs a generic
+// runtime-width body with the same arithmetic.  The inner complex
+// multiply-accumulate operates on the interleaved (re, im) doubles of the
+// complex storage directly, so the compiler emits plain FMA arithmetic
+// instead of library complex-multiply calls.  There is no kernel
+// configuration; DESIGN.md §5b and §5c give the measurements behind one
+// pass per row.
 //
-// Cache blocking (DESIGN.md §5c).  Widths above the register budget execute
-// as several column-tile passes of a fixed sub-width (e.g. 32 = 2 x 16) so
-// the accumulators stay in registers; the tile loop sits *inside* the row
-// loop, so each matrix row is re-read from L1 rather than re-streamed from
-// DRAM.  Each thread additionally walks its static row range band by band
-// (TileConfig::band_rows) to keep the v/w bands of one band resident in
-// cache across tile passes, and can write the output block vector with
-// non-temporal streaming stores (TileConfig::nt_stores) when w will not be
-// re-read before leaving the cache anyway.  All of these knobs preserve the
-// bitwise-parity contract below, so the autotuner may flip them freely.
-//
-// Determinism.  All on-the-fly dot reductions use cache-line-padded
-// per-thread partial buffers that are combined in ascending thread order —
-// no locks, no atomics, no `omp critical`.  The block kernels partition rows
-// with an explicit static split (util/schedule.hpp) rather than `omp for`,
-// so the row->thread assignment — and therefore every moment bit — is
-// independent of tiling, banding, NT stores, and the OpenMP implementation.
-// At a fixed thread count the moments are bitwise reproducible run-to-run.
+// Determinism.  Each lane's arithmetic is independent of the block width,
+// so lane r of a width-R sweep is bitwise equal to that lane swept alone.
+// All on-the-fly dot reductions use cache-line-padded per-thread partial
+// buffers that are combined in ascending thread order — no locks, no
+// atomics, no `omp critical`.  The block kernels partition rows with an
+// explicit static split (util/schedule.hpp) rather than `omp for`, so the
+// row->thread assignment — and therefore every moment bit — is independent
+// of the OpenMP implementation.  At a fixed thread count the moments are
+// bitwise reproducible run-to-run.
 #pragma once
 
 #include <span>
@@ -75,60 +69,6 @@ struct AugScalars {
     return {{a, 0.0}, {-a * b, 0.0}, {0.0, 0.0}};
   }
 };
-
-/// Which body the width-dispatch layer selects for the block kernels.
-///
-///  - auto_dispatch: fixed-width instantiation when the block width is in
-///    the dispatch table {1,2,4,8,16,32,64}, generic body otherwise.
-///  - force_generic: always the runtime-width body (autotuner probes and
-///    parity tests).
-///  - force_fixed:   fixed-width body when tabulated, generic fallback
-///    otherwise (i.e. auto_dispatch — the name records intent at call sites).
-enum class KernelVariant { auto_dispatch, force_generic, force_fixed };
-
-/// Process-wide variant override consulted on every block-kernel call.
-/// Intended for the autotuner's probe phase and for tests; not meant to be
-/// flipped while kernels are in flight on other threads (stores are atomic,
-/// so concurrent same-value stores during collective probing are safe).
-void set_kernel_variant(KernelVariant v) noexcept;
-[[nodiscard]] KernelVariant kernel_variant() noexcept;
-[[nodiscard]] const char* kernel_variant_name(KernelVariant v) noexcept;
-
-/// True if `width` has a fixed-width instantiation in the dispatch table.
-[[nodiscard]] bool has_fixed_width(int width) noexcept;
-
-/// Cache-blocking configuration of the block kernels (process-wide, like the
-/// KernelVariant override; installed by the tile autotuner or tests).
-struct TileConfig {
-  /// Column-tile sub-width: widths above this execute as multiple register-
-  /// resident passes per row.  0 = automatic policy (tile wide blocks at the
-  /// default sub-width), negative = force a single untiled pass.
-  int tile_width = 0;
-  /// Row-band height each thread walks at a time within its static range so
-  /// one band of v/w stays cache-resident across the tile passes; 0 = the
-  /// whole per-thread range (no banding).
-  global_index band_rows = 0;
-  /// Write w with non-temporal streaming stores (falls back to plain stores
-  /// when not compiled in; bitwise-identical either way).
-  bool nt_stores = false;
-
-  bool operator==(const TileConfig&) const = default;
-};
-
-/// Process-wide tile configuration consulted on every block-kernel call.
-/// Same caveat as set_kernel_variant(): not meant to be flipped while
-/// kernels are in flight on other threads.
-void set_tile_config(const TileConfig& c) noexcept;
-[[nodiscard]] TileConfig tile_config() noexcept;
-
-/// Sub-width the dispatch layer will actually tile `width` into under the
-/// current variant + tile configuration (== width when the sweep runs as a
-/// single untiled pass).
-[[nodiscard]] int effective_tile_width(int width) noexcept;
-
-/// True when non-temporal streaming stores are compiled in (x86 SSE2);
-/// otherwise TileConfig::nt_stores silently uses the plain-store fallback.
-[[nodiscard]] bool nt_stores_supported() noexcept;
 
 /// Stage-1 fused kernel on a single vector (CRS).  `dot_vv`/`dot_wv`
 /// receive <v|v> and <w_new|v>; pass nullptr to skip either reduction
@@ -186,14 +126,13 @@ void aug_spmmv_runs(const CrsMatrix& a, const AugScalars& s,
                     std::span<complex_t> dot_vv, std::span<complex_t> dot_wv);
 
 // Block-format kernels (DESIGN.md §5f).  The BSR/SELL-block bodies run
-// behind the same width-dispatch, tiling, banding and NT-store machinery as
-// the scalar formats — one column-tile pass keeps b accumulator rows live
-// and loads each v block-row once for b matrix rows.  Matrix values may be
-// stored float32 (accumulation stays double) and block-column indices may
-// stream as 16-bit deltas; both are properties of the matrix object, not
-// kernel parameters.  The bitwise fixed-vs-generic parity contract holds
-// per format: accumulation order within a row is independent of tiling,
-// banding and the dispatch variant.
+// behind the same width dispatch as the scalar formats, one output row at a
+// time, re-walking a block row's values, indices and v block-rows from L1
+// for its b rows.  Matrix values may be stored float32 (accumulation stays
+// double) and block-column indices may stream as 16-bit deltas; both are
+// properties of the matrix object, not kernel parameters.  The per-lane
+// bitwise contract holds per format: accumulation order within a row is
+// independent of the block width and of the fixed or generic body.
 
 /// Stage-2 fused block kernel (BSR).  Same overwrite contract as the CRS
 /// overload.
@@ -228,9 +167,9 @@ void aug_spmmv(const SellBlockMatrix& a, const AugScalars& s,
 // interior rows multiply the register/L1-resident coefficient blocks of the
 // StencilOperator against branch-free neighbour offsets (plus at most one
 // streamed f64 diagonal per row), boundary rows fall back to the operator's
-// indexed entries.  Runs behind the same width-dispatch, tiling, banding and
-// NT-store machinery, with the same static scalar-row split — stencil
-// moments are bitwise identical to the assembled-CRS moments.
+// indexed entries.  Runs behind the same width dispatch, with the same
+// static scalar-row split — stencil moments are bitwise identical to the
+// assembled-CRS moments.
 
 /// Stage-2 fused matrix-free kernel.  Same overwrite contract as the CRS
 /// overload.

@@ -3,13 +3,12 @@
 //
 // The fused block kernels split their row (or chunk) range into contiguous
 // per-thread chunks *manually* instead of relying on `#pragma omp for
-// schedule(static)`: the cache-blocking layer iterates each thread's range
-// band by band and tile pass by tile pass, which worksharing loops cannot
-// express, and the bitwise-reproducibility contract requires the row->thread
-// assignment to be identical between the tiled and untiled paths on every
-// OpenMP implementation.  First-touch page placement (blas::BlockVector)
-// uses the same partition so each thread's band of v/w lands on its local
-// NUMA node.
+// schedule(static)`: the run-list kernels split the concatenation of
+// several row intervals, which worksharing loops cannot express, and the
+// bitwise-reproducibility contract requires the row->thread assignment to
+// be identical between the contiguous and run-list paths on every OpenMP
+// implementation.  First-touch page placement (blas::BlockVector) uses the
+// same partition so each thread's band of v/w lands on its local NUMA node.
 #pragma once
 
 #include <algorithm>

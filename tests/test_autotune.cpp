@@ -1,13 +1,7 @@
-// Tests for the automatic weight determination (paper outlook), the
-// persistent tile autotuner, and the pipelined halo-exchange model.
+// Tests for the automatic weight determination (paper outlook), the halo
+// depth probe, and the pipelined halo-exchange model.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <future>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/network.hpp"
@@ -15,35 +9,10 @@
 #include "physics/ti_model.hpp"
 #include "runtime/autotune.hpp"
 #include "runtime/dist_kpm.hpp"
-#include "sparse/bsr.hpp"
-#include "sparse/sell.hpp"
-#include "sparse/sell_block.hpp"
 #include "util/check.hpp"
-#include "util/env.hpp"
 
 namespace kpm {
 namespace {
-
-/// Unique-per-test cache file, removed (with the forced tile config) on
-/// scope exit so tests cannot contaminate each other or the working tree.
-class CacheFileGuard {
- public:
-  explicit CacheFileGuard(std::string path)
-      : path_(std::move(path)), saved_(sparse::tile_config()) {
-    std::remove(path_.c_str());
-  }
-  ~CacheFileGuard() {
-    std::remove(path_.c_str());
-    sparse::set_tile_config(saved_);
-  }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  CacheFileGuard(const CacheFileGuard&) = delete;
-  CacheFileGuard& operator=(const CacheFileGuard&) = delete;
-
- private:
-  std::string path_;
-  sparse::TileConfig saved_;
-};
 
 sparse::CrsMatrix tune_matrix() {
   physics::TIParams p;
@@ -75,7 +44,11 @@ TEST(AutoTune, SlowRankGetsFewerRows) {
     runtime::AutoTuneParams p;
     p.max_iterations = 6;
     p.imbalance_tolerance = 0.10;
-    p.slowdown = {3.0, 1.0};  // rank 0 simulates a 3x slower device
+    // Rank 0 models a 3x slower device: a deterministic per-row cost, so
+    // the rate ratio does not depend on how busy the host is.
+    p.probe_time = [](int rank, global_index rows, double) {
+      return (rank == 0 ? 3e-7 : 1e-7) * static_cast<double>(rows);
+    };
     const auto res = runtime::auto_tune_weights(c, h, p);
     // The slow rank must end up with roughly a third of the fast rank's
     // share (3x speed difference).
@@ -96,49 +69,15 @@ TEST(AutoTune, TunedPartitionStillComputesCorrectMoments) {
   runtime::run_ranks(3, [&](runtime::Communicator& c) {
     runtime::AutoTuneParams p;
     p.max_iterations = 3;
-    p.slowdown = {1.0, 2.0, 4.0};
+    p.probe_time = [](int rank, global_index, double measured) {
+      return measured * static_cast<double>(1 << rank);  // 1x, 2x, 4x
+    };
     const auto tuned = runtime::auto_tune_weights(c, h, p);
     runtime::DistributedMatrix dist(c, h, tuned.partition);
     const auto res = runtime::distributed_moments(c, dist, s, mp);
     for (std::size_t m = 0; m < res.mu.size(); ++m) {
       EXPECT_NEAR(res.mu[m], serial.mu[m], 1e-9);
     }
-  });
-}
-
-TEST(AutoTune, VariantProbeSelectsAndRecordsKernel) {
-  const auto h = tune_matrix();
-  runtime::run_ranks(2, [&](runtime::Communicator& c) {
-    runtime::AutoTuneParams p;
-    p.block_width = 8;  // has a fixed-width instantiation
-    p.max_iterations = 2;
-    const auto res = runtime::auto_tune_weights(c, h, p);
-    // The probe must commit to one concrete body and install it.
-    EXPECT_NE(res.variant, sparse::KernelVariant::auto_dispatch);
-    EXPECT_EQ(sparse::kernel_variant(), res.variant);
-    EXPECT_GT(res.generic_seconds, 0.0);
-    EXPECT_GT(res.fixed_seconds, 0.0);
-    const bool fixed_won = res.fixed_seconds <= res.generic_seconds;
-    EXPECT_EQ(res.variant, fixed_won ? sparse::KernelVariant::force_fixed
-                                     : sparse::KernelVariant::force_generic);
-    EXPECT_EQ(res.kernel,
-              std::string("aug_spmmv[") +
-                  sparse::kernel_variant_name(res.variant) + ",R=8]");
-  });
-  sparse::set_kernel_variant(sparse::KernelVariant::auto_dispatch);
-}
-
-TEST(AutoTune, VariantProbeSkippedForUnsupportedWidth) {
-  const auto h = tune_matrix();
-  runtime::run_ranks(1, [&](runtime::Communicator& c) {
-    runtime::AutoTuneParams p;
-    p.block_width = 3;  // no fixed-width instantiation
-    p.max_iterations = 1;
-    const auto res = runtime::auto_tune_weights(c, h, p);
-    EXPECT_EQ(res.variant, sparse::KernelVariant::auto_dispatch);
-    EXPECT_EQ(res.generic_seconds, 0.0);
-    EXPECT_EQ(res.fixed_seconds, 0.0);
-    EXPECT_EQ(res.kernel, "aug_spmmv[auto,R=3]");
   });
 }
 
@@ -149,373 +88,6 @@ TEST(AutoTune, InvalidParamsThrow) {
     p.block_width = 0;
     EXPECT_THROW(runtime::auto_tune_weights(c, h, p), contract_error);
   });
-}
-
-runtime::TileTuneParams small_tile_params() {
-  runtime::TileTuneParams p;
-  p.tile_widths = {-1, 8};
-  p.band_rows = {0, 512};
-  p.sweeps_per_probe = 1;
-  return p;
-}
-
-TEST(TileTuner, ProbePersistsAndWarmCacheSkipsTiming) {
-  const auto h = tune_matrix();
-  CacheFileGuard cache("tile_cache_roundtrip.json");
-  const auto p = small_tile_params();
-
-  runtime::AutoTuner cold(cache.path());
-  EXPECT_EQ(cold.cache_entries(), 0u);
-  const auto probed = cold.tune_tiles(h, 32, p);
-  EXPECT_FALSE(probed.from_cache);
-  EXPECT_GT(probed.timed_probes, 0);
-  EXPECT_GT(probed.seconds, 0.0);
-  // The winner is installed process-wide.
-  EXPECT_EQ(sparse::tile_config(), probed.config);
-
-  // A fresh tuner on the same file recalls the entry with ZERO kernel
-  // timing runs and installs the identical configuration.
-  sparse::set_tile_config({});
-  runtime::AutoTuner warm(cache.path());
-  EXPECT_TRUE(warm.cache_loaded());
-  EXPECT_EQ(warm.cache_entries(), 1u);
-  const auto recalled = warm.tune_tiles(h, 32, p);
-  EXPECT_TRUE(recalled.from_cache);
-  EXPECT_EQ(recalled.timed_probes, 0);
-  EXPECT_EQ(recalled.config, probed.config);
-  EXPECT_DOUBLE_EQ(recalled.seconds, probed.seconds);
-  EXPECT_EQ(recalled.key, probed.key);
-  EXPECT_EQ(sparse::tile_config(), probed.config);
-}
-
-TEST(TileTuner, CacheKeyDistinguishesShapeFormatThreadsWidth) {
-  using runtime::AutoTuner;
-  const auto base = AutoTuner::cache_key("crs", 1000, 5000, 4, 32);
-  EXPECT_NE(base, AutoTuner::cache_key("sell", 1000, 5000, 4, 32));
-  EXPECT_NE(base, AutoTuner::cache_key("crs", 1001, 5000, 4, 32));
-  EXPECT_NE(base, AutoTuner::cache_key("crs", 1000, 5001, 4, 32));
-  EXPECT_NE(base, AutoTuner::cache_key("crs", 1000, 5000, 8, 32));
-  EXPECT_NE(base, AutoTuner::cache_key("crs", 1000, 5000, 4, 64));
-  EXPECT_NE(base, AutoTuner::cache_key("crs", 1000, 5000, 4, 32, 2));
-  // Communication-avoiding depth-s plans sweep extra frontier rows, so a
-  // depth-s distributed probe must never recall a depth-1 tile entry.
-  EXPECT_NE(base, AutoTuner::cache_key("crs", 1000, 5000, 4, 32, 1, 4));
-  EXPECT_NE(AutoTuner::cache_key("crs", 1000, 5000, 4, 32, 2, 2),
-            AutoTuner::cache_key("crs", 1000, 5000, 4, 32, 2, 4));
-  // Depth 1 is the default and adds no component (old keys stay valid).
-  EXPECT_EQ(base, AutoTuner::cache_key("crs", 1000, 5000, 4, 32, 1, 1));
-}
-
-TEST(TileTuner, FormatTagCarriesPrecisionAndIndexWidth) {
-  const auto h = tune_matrix();
-  EXPECT_EQ(runtime::format_tag(h), "crs");
-  const sparse::BsrMatrix b64(h, 4);
-  const sparse::BsrMatrix b32(h, 4, sparse::MatrixPrecision::f32);
-  EXPECT_EQ(runtime::format_tag(b64), "bsr4-i16");
-  EXPECT_EQ(runtime::format_tag(b32), "bsr4-f32-i16");
-  EXPECT_EQ(runtime::format_tag(sparse::BsrMatrix(h, 2)), "bsr2-i16");
-  EXPECT_EQ(runtime::format_tag(sparse::SellBlockMatrix(b32, 8, 32)),
-            "sellb4-f32-i16");
-  // The tags feed the cache key, so same shape + different storage identity
-  // must produce distinct entries.
-  using runtime::AutoTuner;
-  EXPECT_NE(
-      AutoTuner::cache_key(runtime::format_tag(b64).c_str(), h.nrows(),
-                           h.nnz(), 4, 32),
-      AutoTuner::cache_key(runtime::format_tag(b32).c_str(), h.nrows(),
-                           h.nnz(), 4, 32));
-}
-
-TEST(TileTuner, PreviousSchemaVersionForcesReProbe) {
-  // A v2 cache file (the schema immediately before the halo-depth key
-  // component) parses structurally but must be rejected wholesale: its
-  // depth-ambiguous keys could silently serve a depth-s probe a depth-1
-  // tile shape.
-  const auto h = tune_matrix();
-  CacheFileGuard cache("tile_cache_v2.json");
-  const auto p = small_tile_params();
-  std::FILE* f = std::fopen(cache.path().c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fprintf(f,
-               "{\n  \"version\": 2,\n  \"entries\": [\n"
-               "    {\"key\": \"crs:%lld:%lld:t%d:w32\", \"tile_width\": -1, "
-               "\"band_rows\": 0, \"nt_stores\": 0, \"seconds\": 1.0e-9}\n"
-               "  ]\n}\n",
-               static_cast<long long>(h.nrows()),
-               static_cast<long long>(h.nnz()), max_threads());
-  std::fclose(f);
-
-  runtime::AutoTuner tuner(cache.path());
-  EXPECT_FALSE(tuner.cache_loaded());
-  EXPECT_EQ(tuner.cache_entries(), 0u);
-  const auto res = tuner.tune_tiles(h, 32, p);
-  EXPECT_FALSE(res.from_cache);
-  EXPECT_GT(res.timed_probes, 0);
-  runtime::AutoTuner reread(cache.path());
-  EXPECT_TRUE(reread.cache_loaded());
-  EXPECT_EQ(reread.cache_entries(), 1u);
-}
-
-TEST(TileTuner, StaleSchemaVersionForcesReProbe) {
-  const auto h = tune_matrix();
-  CacheFileGuard cache("tile_cache_stale_version.json");
-  const auto p = small_tile_params();
-
-  // A well-formed v1 cache file (the pre-block-format schema, whose keys
-  // lack the storage identity) must be rejected wholesale, not reused.
-  std::FILE* f = std::fopen(cache.path().c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fprintf(f,
-               "{\n  \"version\": 1,\n  \"entries\": [\n"
-               "    {\"key\": \"crs:%lld:%lld:t%d:w32\", \"tile_width\": -1, "
-               "\"band_rows\": 0, \"nt_stores\": 0, \"seconds\": 1.0e-9}\n"
-               "  ]\n}\n",
-               static_cast<long long>(h.nrows()),
-               static_cast<long long>(h.nnz()), max_threads());
-  std::fclose(f);
-
-  runtime::AutoTuner tuner(cache.path());
-  EXPECT_FALSE(tuner.cache_loaded());
-  EXPECT_EQ(tuner.cache_entries(), 0u);
-  const auto res = tuner.tune_tiles(h, 32, p);
-  EXPECT_FALSE(res.from_cache);
-  EXPECT_GT(res.timed_probes, 0);
-  // The re-probe rewrote the file at the current schema version.
-  runtime::AutoTuner reread(cache.path());
-  EXPECT_TRUE(reread.cache_loaded());
-  EXPECT_EQ(reread.cache_entries(), 1u);
-}
-
-TEST(TileTuner, BlockFormatsGetDistinctCacheEntries) {
-  const auto h = tune_matrix();
-  CacheFileGuard cache("tile_cache_blockfmt.json");
-  const auto p = small_tile_params();
-
-  runtime::AutoTuner tuner(cache.path());
-  const sparse::BsrMatrix bsr(h, 4);
-  const auto at_bsr = tuner.tune_tiles(bsr, 32, p);
-  EXPECT_FALSE(at_bsr.from_cache);
-  const auto at_crs = tuner.tune_tiles(h, 32, p);
-  EXPECT_NE(at_bsr.key, at_crs.key);
-  // Mixed precision is a different entry than f64 on the same shape.
-  const sparse::BsrMatrix b32(h, 4, sparse::MatrixPrecision::f32);
-  const auto at_f32 = tuner.tune_tiles(b32, 32, p);
-  EXPECT_FALSE(at_f32.from_cache);
-  EXPECT_NE(at_f32.key, at_bsr.key);
-  EXPECT_EQ(tuner.cache_entries(), 3u);
-  // Warm recall works for the block entries too.
-  const auto again = tuner.tune_tiles(bsr, 32, p);
-  EXPECT_TRUE(again.from_cache);
-  EXPECT_EQ(again.config, at_bsr.config);
-}
-
-TEST(TileTuner, FormatProbeReportsCandidatesAndWinner) {
-  const auto h = tune_matrix();
-  CacheFileGuard cache("tile_cache_format_probe.json");
-  runtime::AutoTuner tuner(cache.path());
-  runtime::AutoTuner::FormatTuneParams p;
-  p.tile = small_tile_params();
-  p.block_dims = {4};
-  p.probe_mixed_precision = true;
-  const auto res = tuner.tune_format(h, 32, p);
-  // crs + sell + bsr4 f64/f32 + sellb4 f64/f32.
-  ASSERT_EQ(res.probed.size(), 6u);
-  EXPECT_EQ(res.probed[0].format, "crs");
-  bool winner_listed = false;
-  for (const auto& probe : res.probed) {
-    EXPECT_GT(probe.seconds, 0.0) << probe.format;
-    if (probe.format == res.format) {
-      winner_listed = true;
-      EXPECT_DOUBLE_EQ(probe.seconds, res.tiles.seconds);
-    }
-  }
-  EXPECT_TRUE(winner_listed);
-  EXPECT_EQ(sparse::tile_config(), res.tiles.config);
-  // TI is 4x4-blockable, so the block candidates must have been probed.
-  EXPECT_EQ(tuner.cache_entries(), res.probed.size());
-}
-
-TEST(TileTuner, MismatchedKeyFallsBackToProbing) {
-  const auto h = tune_matrix();
-  CacheFileGuard cache("tile_cache_stale.json");
-  auto p = small_tile_params();
-
-  runtime::AutoTuner tuner(cache.path());
-  const auto at_32 = tuner.tune_tiles(h, 32, p);
-  EXPECT_FALSE(at_32.from_cache);
-  // Same matrix, different width: the cached entry must not match.
-  const auto at_16 = tuner.tune_tiles(h, 16, p);
-  EXPECT_FALSE(at_16.from_cache);
-  EXPECT_GT(at_16.timed_probes, 0);
-  EXPECT_NE(at_16.key, at_32.key);
-  EXPECT_EQ(tuner.cache_entries(), 2u);
-  // SELL storage of the same matrix is a distinct entry too.
-  const sparse::SellMatrix sell(h, 8, 32);
-  const auto at_sell = tuner.tune_tiles(sell, 32, p);
-  EXPECT_FALSE(at_sell.from_cache);
-  EXPECT_NE(at_sell.key, at_32.key);
-}
-
-TEST(TileTuner, CorruptedCacheIsIgnoredAndRewritten) {
-  const auto h = tune_matrix();
-  CacheFileGuard cache("tile_cache_corrupt.json");
-  const auto p = small_tile_params();
-
-  std::FILE* f = std::fopen(cache.path().c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("{\"version\": 999, \"entries\": [garbage", f);
-  std::fclose(f);
-
-  runtime::AutoTuner tuner(cache.path());
-  EXPECT_FALSE(tuner.cache_loaded());
-  EXPECT_EQ(tuner.cache_entries(), 0u);
-  const auto res = tuner.tune_tiles(h, 32, p);
-  EXPECT_FALSE(res.from_cache);
-  EXPECT_GT(res.timed_probes, 0);
-  // The probe rewrote the file: a fresh tuner parses it cleanly.
-  runtime::AutoTuner reread(cache.path());
-  EXPECT_TRUE(reread.cache_loaded());
-  EXPECT_EQ(reread.cache_entries(), 1u);
-}
-
-TEST(TileTuner, SaveIsAtomicAgainstInterruptedWrites) {
-  const auto h = tune_matrix();
-  CacheFileGuard cache("tile_cache_atomic.json");
-  const std::string tmp = cache.path() + ".tmp";
-  std::remove(tmp.c_str());
-  const auto p = small_tile_params();
-
-  runtime::AutoTuner tuner(cache.path());
-  (void)tuner.tune_tiles(h, 32, p);  // probe + save: cache now intact
-
-  // A process killed mid-save leaves a truncated *temp* file, never a
-  // truncated cache.  Seed exactly that wreckage next to the good cache.
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("{\"version\": 3, \"entries\": [\n    {\"key\": \"trunc", f);
-  std::fclose(f);
-
-  // The intact cache is unaffected by the stale temp file...
-  runtime::AutoTuner reread(cache.path());
-  EXPECT_TRUE(reread.cache_loaded());
-  EXPECT_EQ(reread.cache_entries(), 1u);
-
-  // ...and the next save overwrites the wreckage, then renames it over the
-  // cache: a fresh load parses both entries and no temp file survives.
-  const auto res = reread.tune_tiles(h, 16, p);
-  EXPECT_FALSE(res.from_cache);
-  runtime::AutoTuner again(cache.path());
-  EXPECT_TRUE(again.cache_loaded());
-  EXPECT_EQ(again.cache_entries(), 2u);
-  std::FILE* stray = std::fopen(tmp.c_str(), "rb");
-  EXPECT_EQ(stray, nullptr) << "save() left a temp file behind";
-  if (stray != nullptr) {
-    std::fclose(stray);
-    std::remove(tmp.c_str());
-  }
-}
-
-TEST(TileTuner, StoredSecondsReadBackAsTheSameDouble) {
-  CacheFileGuard cache("tile_cache_seconds.json");
-  // Probe times of 10 ms and more carry 8+ significant digits at nanosecond
-  // resolution; a shortest-round-trip print must return each one exactly.
-  const std::vector<double> seconds{0.015990649, 0.1234567891, 1.0 / 3.0,
-                                    2.5e-7, 12.345678912345};
-  {
-    runtime::AutoTuner tuner(cache.path());
-    for (std::size_t i = 0; i < seconds.size(); ++i) {
-      tuner.store("k" + std::to_string(i), {8, 512, false}, seconds[i]);
-    }
-  }
-  runtime::AutoTuner reread(cache.path());
-  ASSERT_TRUE(reread.cache_loaded());
-  for (std::size_t i = 0; i < seconds.size(); ++i) {
-    double back = 0.0;
-    ASSERT_TRUE(reread.lookup("k" + std::to_string(i), nullptr, &back));
-    EXPECT_EQ(back, seconds[i]) << "entry " << i;
-  }
-}
-
-TEST(TileTuner, InstallFalseRestoresPriorConfig) {
-  const auto h = tune_matrix();
-  CacheFileGuard cache("tile_cache_noinstall.json");
-  auto p = small_tile_params();
-  p.install = false;
-  const sparse::TileConfig before{-1, 2048, false};
-  sparse::set_tile_config(before);
-  runtime::AutoTuner tuner(cache.path());
-  const auto res = tuner.tune_tiles(h, 32, p);
-  EXPECT_GT(res.timed_probes, 0);
-  EXPECT_EQ(sparse::tile_config(), before);
-}
-
-TEST(AutoTune, CollectiveTileProbeSharesOneCacheEntry) {
-  const auto h = tune_matrix();
-  CacheFileGuard cache("tile_cache_collective.json");
-  runtime::run_ranks(2, [&](runtime::Communicator& c) {
-    runtime::AutoTuneParams p;
-    p.block_width = 32;
-    p.max_iterations = 1;
-    p.tune_kernel_variant = false;
-    p.tune_tiles = true;
-    p.tile_cache_path = cache.path();
-    p.tile = small_tile_params();
-    const auto res = runtime::auto_tune_weights(c, h, p);
-    EXPECT_FALSE(res.tiles.from_cache);
-    EXPECT_GT(res.tiles.timed_probes, 0);
-    EXPECT_EQ(sparse::tile_config(), res.tiles.config);
-    c.barrier();
-    // Second tuning run recalls the collective entry without timing.
-    const auto again = runtime::auto_tune_weights(c, h, p);
-    EXPECT_TRUE(again.tiles.from_cache);
-    EXPECT_EQ(again.tiles.timed_probes, 0);
-    EXPECT_EQ(again.tiles.config, res.tiles.config);
-  });
-  runtime::AutoTuner reread(cache.path());
-  EXPECT_EQ(reread.cache_entries(), 1u);
-}
-
-TEST(AutoTune, DistributedTileCacheHitNeedsEveryRank) {
-  // Rank 0 reads a warm cache file, rank 1 a cold one.  Hit or miss is a
-  // collective verdict: a rank that returned from its cache while its peer
-  // entered the probe's allreduces would deadlock both, so both must probe
-  // in lockstep and leave with the same configuration.
-  const auto h = tune_matrix();
-  const auto part = runtime::RowPartition::uniform(h.nrows(), 2);
-  const auto p = small_tile_params();
-  constexpr int kWidth = 8;
-  CacheFileGuard warm("tile_cache_dist_warm.json");
-  CacheFileGuard cold("tile_cache_dist_cold.json");
-  runtime::run_ranks(2, [&](runtime::Communicator& c) {
-    const runtime::DistributedMatrix dist(c, h, part);
-    (void)runtime::tune_distributed_tiles(c, dist, kWidth, p, warm.path());
-  });
-  ASSERT_EQ(runtime::AutoTuner(warm.path()).cache_entries(), 1u);
-
-  // Fail fast on a deadlock instead of stalling the whole suite.
-  std::promise<void> finished;
-  std::thread watchdog([done = finished.get_future()] {
-    if (done.wait_for(std::chrono::seconds(120)) ==
-        std::future_status::timeout) {
-      std::fputs("DistributedTileCacheHitNeedsEveryRank: ranks deadlocked\n",
-                 stderr);
-      std::abort();
-    }
-  });
-  std::vector<runtime::TileTuneResult> res(2);
-  EXPECT_NO_THROW(runtime::run_ranks(2, [&](runtime::Communicator& c) {
-    const runtime::DistributedMatrix dist(c, h, part);
-    res[static_cast<std::size_t>(c.rank())] = runtime::tune_distributed_tiles(
-        c, dist, kWidth, p, c.rank() == 0 ? warm.path() : cold.path());
-  }));
-  finished.set_value();
-  watchdog.join();
-
-  EXPECT_FALSE(res[0].from_cache);
-  EXPECT_FALSE(res[1].from_cache);
-  EXPECT_GT(res[0].timed_probes, 0);
-  EXPECT_EQ(res[0].timed_probes, res[1].timed_probes);
-  EXPECT_EQ(res[0].config, res[1].config);
 }
 
 TEST(AutoTune, HaloDepthProbeAgreesAcrossRanksAndCoversCandidates) {

@@ -628,37 +628,5 @@ TEST(DistProperty, SStepRejectsMisalignedChunks) {
   EXPECT_THROW(runtime::ElasticRuntime(h, s, mp, o), contract_error);
 }
 
-TEST(DistProperty, TunedSweepsMatchUntunedMoments) {
-  // DistKpmOptions::tune_tiles installs a probed TileConfig on all ranks;
-  // the blocking is bitwise-invisible to the kernel output, so moments must
-  // match the untuned run exactly.
-  const auto h = ti_matrix();
-  const auto s = physics::make_scaling(physics::gershgorin_bounds(h), 0.05);
-  core::MomentParams mp;
-  mp.num_moments = 8;
-  mp.num_random = 4;
-  const auto saved = sparse::tile_config();
-  const auto part = runtime::RowPartition::uniform(h.nrows(), 3);
-  std::vector<double> untuned, tuned;
-  runtime::run_ranks(3, [&](runtime::Communicator& c) {
-    runtime::DistributedMatrix dist(c, h, part);
-    const auto plain = runtime::distributed_moments(c, dist, s, mp);
-    runtime::DistKpmOptions opts;
-    opts.tune_tiles = true;
-    opts.tile_cache_path = "/dev/null";  // probe-only: no cache pollution
-    const auto probed =
-        runtime::distributed_moments_overlapped(c, dist, s, mp, opts);
-    if (c.rank() == 0) {
-      untuned = plain.mu;
-      tuned = probed.mu;
-    }
-  });
-  sparse::set_tile_config(saved);
-  ASSERT_EQ(untuned.size(), tuned.size());
-  for (std::size_t m = 0; m < untuned.size(); ++m) {
-    EXPECT_NEAR(tuned[m], untuned[m], 1e-10) << "moment " << m;
-  }
-}
-
 }  // namespace
 }  // namespace kpm

@@ -1,59 +1,63 @@
-// Parity and determinism of the width-dispatch kernel layer.
+// Lane-width contract and determinism of the fused block kernels.
 //
-// The generic (runtime-width) and fixed-width bodies of the fused block
-// kernels share the exact same split-complex arithmetic, so forcing either
-// variant must produce BITWISE identical results — not merely close ones.
-// Likewise the padded per-thread dot reductions merge partials in a fixed
-// thread order, so repeated runs at a fixed thread count must agree exactly.
+// Every block kernel runs one pass per row over all lanes of the block; the
+// width only picks the compile-time (FixedWidth<N>) or runtime-width body,
+// and both perform the same split-complex arithmetic per lane.  So lane r of
+// a width-W sweep must be BITWISE equal to that lane swept alone at width 1
+// — its w column and both of its dots — for every format, every width (in
+// and out of the fixed-width table) and every sweep shape (full, row
+// intervals, run lists).  The padded per-thread dot reductions merge
+// partials in a fixed thread order, so repeated runs at a fixed thread
+// count must agree exactly as well.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "blas/block_vector.hpp"
 #include "core/moments.hpp"
 #include "physics/spectral_bounds.hpp"
+#include "physics/stencil_models.hpp"
 #include "physics/ti_model.hpp"
 #include "sparse/bsr.hpp"
 #include "sparse/crs.hpp"
 #include "sparse/kpm_kernels.hpp"
 #include "sparse/sell.hpp"
 #include "sparse/sell_block.hpp"
+#include "sparse/stencil.hpp"
 #include "util/check.hpp"
 
 namespace kpm {
 namespace {
 
-/// Restores the process-wide kernel variant on scope exit, so a failing
-/// assertion cannot leak a forced variant into later tests.
-class VariantGuard {
- public:
-  VariantGuard() : saved_(sparse::kernel_variant()) {}
-  ~VariantGuard() { sparse::set_kernel_variant(saved_); }
-  VariantGuard(const VariantGuard&) = delete;
-  VariantGuard& operator=(const VariantGuard&) = delete;
-
- private:
-  sparse::KernelVariant saved_;
-};
+physics::TIParams ti_params() {
+  physics::TIParams p;
+  p.nx = 8;
+  p.ny = 8;
+  p.nz = 6;
+  return p;
+}
 
 const sparse::CrsMatrix& matrix() {
-  static const sparse::CrsMatrix m = [] {
-    physics::TIParams p;
-    p.nx = 8;
-    p.ny = 8;
-    p.nz = 6;
-    return physics::build_ti_hamiltonian(p);
-  }();
+  static const sparse::CrsMatrix m = physics::build_ti_hamiltonian(ti_params());
   return m;
 }
 
 const sparse::SellMatrix& sell_matrix() {
   static const sparse::SellMatrix m(matrix(), 8, 32);
+  return m;
+}
+
+const sparse::BsrMatrix& bsr2_matrix() {
+  static const sparse::BsrMatrix m(matrix(), 2);
   return m;
 }
 
@@ -72,13 +76,31 @@ const sparse::SellBlockMatrix& sell_block_matrix() {
   return m;
 }
 
+/// TI stencil with an on-site potential, so the lanes run through the
+/// streamed-diagonal interior path as well as the open-z boundary rows.
+const sparse::StencilOperator& stencil_operator() {
+  static const sparse::StencilOperator m = [] {
+    auto p = ti_params();
+    p.potential = [](const physics::Site& s) {
+      return 0.3 * static_cast<double>((s.x + 2 * s.y + 3 * s.z) % 5) - 0.6;
+    };
+    return physics::make_ti_stencil(p);
+  }();
+  return m;
+}
+
+/// Entry (i, lane) of a test block: a function of the row and the lane's
+/// *identity*, not of the block width, so a lane has the same input whether
+/// it is swept inside a wide block or alone.
+complex_t entry(global_index i, int lane, double shift) {
+  return {1.0 / (1.0 + static_cast<double>(i) + shift * lane),
+          0.25 - 0.001 * lane};
+}
+
 blas::BlockVector block(global_index n, int width, double shift) {
   blas::BlockVector b(n, width);
   for (global_index i = 0; i < n; ++i) {
-    for (int r = 0; r < width; ++r) {
-      b(i, r) = {1.0 / (1.0 + static_cast<double>(i) + shift * r),
-                 0.25 - 0.001 * r};
-    }
+    for (int r = 0; r < width; ++r) b(i, r) = entry(i, r, shift);
   }
   return b;
 }
@@ -94,119 +116,190 @@ bool bitwise_equal(const std::vector<complex_t>& a,
          std::memcmp(a.data(), b.data(), a.size() * sizeof(complex_t)) == 0;
 }
 
+bool bitwise_equal(complex_t a, complex_t b) {
+  return std::memcmp(&a, &b, sizeof(complex_t)) == 0;
+}
+
+// ---------------------------------------------------------------------------
+// The lane-width contract.
+
+enum class Shape { full, rows, runs };
+
+const char* shape_name(Shape s) {
+  switch (s) {
+    case Shape::full: return "full";
+    case Shape::rows: return "rows";
+    case Shape::runs: return "runs";
+  }
+  return "?";
+}
+
+/// Complementary 17-row stripes (uneven tail included): the interleaved
+/// interior/boundary shape of the overlapped halo exchange.
+std::vector<std::vector<IndexRange<global_index>>> stripes(global_index n) {
+  std::vector<std::vector<IndexRange<global_index>>> lists(2);
+  for (global_index b = 0, k = 0; b < n; b += 17, ++k) {
+    lists[static_cast<std::size_t>(k % 2)].push_back(
+        {b, std::min<global_index>(b + 17, n)});
+  }
+  return lists;
+}
+
+/// Formats with aug_spmmv_rows / aug_spmmv_runs overloads (the SELL layouts
+/// sweep whole chunks and have none).
+template <class Matrix>
+concept HasRowKernels =
+    requires(const Matrix& a, const blas::BlockVector& v, blas::BlockVector& w,
+             std::span<complex_t> d) {
+      sparse::aug_spmmv_rows(a, sparse::AugScalars{}, v, w, global_index{0},
+                             global_index{0}, d, d);
+    };
+
+/// One sweep w <- aug(A) v of the given shape.  The partial shapes zero the
+/// dots first and accumulate across their calls, as the distributed solvers
+/// do.
+template <class Matrix>
+void sweep(const Matrix& a, Shape shape, const blas::BlockVector& v,
+           blas::BlockVector& w, std::span<complex_t> dvv,
+           std::span<complex_t> dwv) {
+  const auto rec = sparse::AugScalars::recurrence(0.3, -0.05);
+  if (shape == Shape::full) {
+    sparse::aug_spmmv(a, rec, v, w, dvv, dwv);
+    return;
+  }
+  if constexpr (HasRowKernels<Matrix>) {
+    std::fill(dvv.begin(), dvv.end(), complex_t{});
+    std::fill(dwv.begin(), dwv.end(), complex_t{});
+    const global_index n = a.nrows();
+    if (shape == Shape::rows) {
+      const global_index cut1 = n / 3, cut2 = 2 * n / 3;
+      sparse::aug_spmmv_rows(a, rec, v, w, 0, cut1, dvv, dwv);
+      sparse::aug_spmmv_rows(a, rec, v, w, cut1, cut2, dvv, dwv);
+      sparse::aug_spmmv_rows(a, rec, v, w, cut2, n, dvv, dwv);
+    } else {
+      for (const auto& runs : stripes(n)) {
+        sparse::aug_spmmv_runs(a, rec, v, w, runs, dvv, dwv);
+      }
+    }
+  } else {
+    FAIL() << "format has no row-interval kernels";
+  }
+}
+
+struct Format {
+  std::string name;
+  bool row_kernels;
+  global_index nrows;
+  global_index ncols;
+  std::function<void(Shape, const blas::BlockVector&, blas::BlockVector&,
+                     std::span<complex_t>, std::span<complex_t>)>
+      run;
+};
+
+template <class Matrix>
+Format make_format(std::string name, const Matrix& a) {
+  return {std::move(name), HasRowKernels<Matrix>, a.nrows(), a.ncols(),
+          [&a](Shape shape, const blas::BlockVector& v, blas::BlockVector& w,
+               std::span<complex_t> dvv, std::span<complex_t> dwv) {
+            sweep(a, shape, v, w, dvv, dwv);
+          }};
+}
+
+const std::vector<Format>& formats() {
+  static const std::vector<Format> all{
+      make_format("crs", matrix()),
+      make_format("sell", sell_matrix()),
+      make_format("bsr2", bsr2_matrix()),
+      make_format("bsr4", bsr_matrix()),
+      make_format("bsr4_f32", bsr_matrix_f32()),
+      make_format("sell_block", sell_block_matrix()),
+      make_format("stencil", stencil_operator()),
+  };
+  return all;
+}
+
+struct LaneCase {
+  std::size_t format;  ///< index into formats()
+  int width;
+  Shape shape;
+};
+
+std::string case_name(const LaneCase& c) {
+  return formats()[c.format].name + "_w" + std::to_string(c.width) + "_" +
+         shape_name(c.shape);
+}
+
+// Test ids print the parameter: by name, so they are stable across builds.
+void PrintTo(const LaneCase& c, std::ostream* os) { *os << case_name(c); }
+
+std::vector<LaneCase> lane_cases() {
+  std::vector<LaneCase> out;
+  for (std::size_t f = 0; f < formats().size(); ++f) {
+    for (const int width : {1, 3, 4, 5, 8, 16, 17, 31, 32, 33, 64}) {
+      for (const Shape shape : {Shape::full, Shape::rows, Shape::runs}) {
+        if (shape != Shape::full && !formats()[f].row_kernels) continue;
+        out.push_back({f, width, shape});
+      }
+    }
+  }
+  return out;
+}
+
+class LaneWidth : public ::testing::TestWithParam<LaneCase> {};
+
+TEST_P(LaneWidth, EachLaneMatchesItsSoloSweepBitwise) {
+  const LaneCase c = GetParam();
+  const Format& fmt = formats()[c.format];
+  const int width = c.width;
+  const auto v = block(fmt.ncols, width, 0.0);
+  auto w = block(fmt.nrows, width, 0.5);
+  std::vector<complex_t> dvv(static_cast<std::size_t>(width));
+  std::vector<complex_t> dwv(static_cast<std::size_t>(width));
+  fmt.run(c.shape, v, w, dvv, dwv);
+
+  for (int lane = 0; lane < width; ++lane) {
+    blas::BlockVector v1(fmt.ncols, 1), w1(fmt.nrows, 1);
+    for (global_index i = 0; i < fmt.ncols; ++i) v1(i, 0) = entry(i, lane, 0.0);
+    for (global_index i = 0; i < fmt.nrows; ++i) w1(i, 0) = entry(i, lane, 0.5);
+    std::vector<complex_t> dvv1(1), dwv1(1);
+    fmt.run(c.shape, v1, w1, dvv1, dwv1);
+
+    bool column_equal = true;
+    for (global_index i = 0; i < fmt.nrows && column_equal; ++i) {
+      column_equal = bitwise_equal(w(i, lane), w1(i, 0));
+    }
+    const auto l = static_cast<std::size_t>(lane);
+    EXPECT_TRUE(column_equal) << "w, lane " << lane;
+    EXPECT_TRUE(bitwise_equal(dvv[l], dvv1[0])) << "<v|v>, lane " << lane;
+    EXPECT_TRUE(bitwise_equal(dwv[l], dwv1[0])) << "<w|v>, lane " << lane;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, LaneWidth, ::testing::ValuesIn(lane_cases()),
+    [](const ::testing::TestParamInfo<LaneCase>& info) {
+      return case_name(info.param);
+    });
+
+// ---------------------------------------------------------------------------
+// Determinism and composition.
+
 struct SweepOutput {
   blas::BlockVector w;
   std::vector<complex_t> dvv;
   std::vector<complex_t> dwv;
 };
 
-/// One full fused sweep under a forced variant; `with_dots` toggles the
-/// on-the-fly reductions.
+/// One full fused sweep with the on-the-fly dots.
 template <typename Matrix>
-SweepOutput run_sweep(const Matrix& a, int width, sparse::KernelVariant var,
-                      bool with_dots) {
-  VariantGuard guard;
-  sparse::set_kernel_variant(var);
+SweepOutput run_sweep(const Matrix& a, int width) {
   SweepOutput out{block(a.nrows(), width, 0.5),
-                  std::vector<complex_t>(with_dots ? width : 0),
-                  std::vector<complex_t>(with_dots ? width : 0)};
+                  std::vector<complex_t>(static_cast<std::size_t>(width)),
+                  std::vector<complex_t>(static_cast<std::size_t>(width))};
   const auto v = block(a.ncols(), width, 0.0);
   const auto rec = sparse::AugScalars::recurrence(0.3, -0.05);
   sparse::aug_spmmv(a, rec, v, out.w, out.dvv, out.dwv);
   return out;
-}
-
-constexpr int kWidths[] = {1, 2, 3, 4, 7, 8, 16, 33, 64};
-
-TEST(KernelDispatch, FixedWidthTableMatchesDispatcher) {
-  for (const int w : {1, 2, 4, 8, 16, 32, 64}) {
-    EXPECT_TRUE(sparse::has_fixed_width(w)) << w;
-  }
-  for (const int w : {3, 5, 7, 33, 128}) {
-    EXPECT_FALSE(sparse::has_fixed_width(w)) << w;
-  }
-}
-
-TEST(KernelDispatch, VariantNamesRoundTrip) {
-  EXPECT_STREQ(sparse::kernel_variant_name(sparse::KernelVariant::auto_dispatch),
-               "auto");
-  EXPECT_STREQ(sparse::kernel_variant_name(sparse::KernelVariant::force_generic),
-               "generic");
-  EXPECT_STREQ(sparse::kernel_variant_name(sparse::KernelVariant::force_fixed),
-               "fixed");
-  VariantGuard guard;
-  sparse::set_kernel_variant(sparse::KernelVariant::force_fixed);
-  EXPECT_EQ(sparse::kernel_variant(), sparse::KernelVariant::force_fixed);
-}
-
-TEST(KernelDispatch, CrsGenericFixedBitwiseParity) {
-  for (const int width : kWidths) {
-    for (const bool with_dots : {true, false}) {
-      const auto gen = run_sweep(matrix(), width,
-                                 sparse::KernelVariant::force_generic,
-                                 with_dots);
-      const auto fix = run_sweep(matrix(), width,
-                                 sparse::KernelVariant::force_fixed, with_dots);
-      EXPECT_TRUE(bitwise_equal(gen.w, fix.w))
-          << "w mismatch at width " << width << " dots=" << with_dots;
-      EXPECT_TRUE(bitwise_equal(gen.dvv, fix.dvv)) << "width " << width;
-      EXPECT_TRUE(bitwise_equal(gen.dwv, fix.dwv)) << "width " << width;
-    }
-  }
-}
-
-TEST(KernelDispatch, SellGenericFixedBitwiseParity) {
-  for (const int width : kWidths) {
-    for (const bool with_dots : {true, false}) {
-      const auto gen = run_sweep(sell_matrix(), width,
-                                 sparse::KernelVariant::force_generic,
-                                 with_dots);
-      const auto fix = run_sweep(sell_matrix(), width,
-                                 sparse::KernelVariant::force_fixed, with_dots);
-      EXPECT_TRUE(bitwise_equal(gen.w, fix.w))
-          << "w mismatch at width " << width << " dots=" << with_dots;
-      EXPECT_TRUE(bitwise_equal(gen.dvv, fix.dvv)) << "width " << width;
-      EXPECT_TRUE(bitwise_equal(gen.dwv, fix.dwv)) << "width " << width;
-    }
-  }
-}
-
-TEST(KernelDispatch, BsrGenericFixedBitwiseParity) {
-  // Both value precisions share one pass body; parity must hold for each.
-  for (const sparse::BsrMatrix* m : {&bsr_matrix(), &bsr_matrix_f32()}) {
-    for (const int width : kWidths) {
-      for (const bool with_dots : {true, false}) {
-        const auto gen = run_sweep(*m, width,
-                                   sparse::KernelVariant::force_generic,
-                                   with_dots);
-        const auto fix = run_sweep(*m, width,
-                                   sparse::KernelVariant::force_fixed,
-                                   with_dots);
-        EXPECT_TRUE(bitwise_equal(gen.w, fix.w))
-            << "w mismatch at width " << width << " dots=" << with_dots
-            << " precision=" << sparse::precision_name(m->precision());
-        EXPECT_TRUE(bitwise_equal(gen.dvv, fix.dvv)) << "width " << width;
-        EXPECT_TRUE(bitwise_equal(gen.dwv, fix.dwv)) << "width " << width;
-      }
-    }
-  }
-}
-
-TEST(KernelDispatch, SellBlockGenericFixedBitwiseParity) {
-  for (const int width : kWidths) {
-    for (const bool with_dots : {true, false}) {
-      const auto gen = run_sweep(sell_block_matrix(), width,
-                                 sparse::KernelVariant::force_generic,
-                                 with_dots);
-      const auto fix = run_sweep(sell_block_matrix(), width,
-                                 sparse::KernelVariant::force_fixed,
-                                 with_dots);
-      EXPECT_TRUE(bitwise_equal(gen.w, fix.w))
-          << "w mismatch at width " << width << " dots=" << with_dots;
-      EXPECT_TRUE(bitwise_equal(gen.dvv, fix.dvv)) << "width " << width;
-      EXPECT_TRUE(bitwise_equal(gen.dwv, fix.dwv)) << "width " << width;
-    }
-  }
 }
 
 TEST(KernelDispatch, BlockKernelsAreBitwiseDeterministic) {
@@ -214,16 +307,12 @@ TEST(KernelDispatch, BlockKernelsAreBitwiseDeterministic) {
   const int saved = omp_get_max_threads();
   omp_set_num_threads(4);
 #endif
-  const auto b1 = run_sweep(bsr_matrix(), 8,
-                            sparse::KernelVariant::auto_dispatch, true);
-  const auto b2 = run_sweep(bsr_matrix(), 8,
-                            sparse::KernelVariant::auto_dispatch, true);
+  const auto b1 = run_sweep(bsr_matrix(), 8);
+  const auto b2 = run_sweep(bsr_matrix(), 8);
   EXPECT_TRUE(bitwise_equal(b1.w, b2.w));
   EXPECT_TRUE(bitwise_equal(b1.dwv, b2.dwv));
-  const auto s1 = run_sweep(sell_block_matrix(), 8,
-                            sparse::KernelVariant::auto_dispatch, true);
-  const auto s2 = run_sweep(sell_block_matrix(), 8,
-                            sparse::KernelVariant::auto_dispatch, true);
+  const auto s1 = run_sweep(sell_block_matrix(), 8);
+  const auto s2 = run_sweep(sell_block_matrix(), 8);
   EXPECT_TRUE(bitwise_equal(s1.w, s2.w));
   EXPECT_TRUE(bitwise_equal(s1.dvv, s2.dvv));
 #ifdef _OPENMP
@@ -231,24 +320,10 @@ TEST(KernelDispatch, BlockKernelsAreBitwiseDeterministic) {
 #endif
 }
 
-TEST(KernelDispatch, AutoDispatchMatchesForcedFixed) {
-  // auto must route supported widths to the fixed body and the rest to the
-  // generic body; either way the result is the same bit pattern.
-  for (const int width : {4, 7}) {
-    const auto aut = run_sweep(sell_matrix(), width,
-                               sparse::KernelVariant::auto_dispatch, true);
-    const auto fix = run_sweep(sell_matrix(), width,
-                               sparse::KernelVariant::force_fixed, true);
-    EXPECT_TRUE(bitwise_equal(aut.w, fix.w)) << "width " << width;
-    EXPECT_TRUE(bitwise_equal(aut.dwv, fix.dwv)) << "width " << width;
-  }
-}
-
 TEST(KernelDispatch, RowIntervalKernelComposesToFullSweep) {
   const auto& a = matrix();
   const int width = 8;
-  const auto full = run_sweep(a, width, sparse::KernelVariant::auto_dispatch,
-                              true);
+  const auto full = run_sweep(a, width);
   // Same sweep split into three row intervals; dots accumulate across calls.
   SweepOutput split{block(a.nrows(), width, 0.5),
                     std::vector<complex_t>(width),
@@ -284,10 +359,10 @@ TEST(KernelDispatch, RepeatedSweepsAreBitwiseDeterministic) {
   const int saved = omp_get_max_threads();
   omp_set_num_threads(4);
 #endif
-  for (const auto var : {sparse::KernelVariant::force_generic,
-                         sparse::KernelVariant::force_fixed}) {
-    const auto first = run_sweep(sell_matrix(), 8, var, true);
-    const auto second = run_sweep(sell_matrix(), 8, var, true);
+  // One fixed-width and one runtime-width body.
+  for (const int width : {8, 7}) {
+    const auto first = run_sweep(sell_matrix(), width);
+    const auto second = run_sweep(sell_matrix(), width);
     EXPECT_TRUE(bitwise_equal(first.w, second.w));
     EXPECT_TRUE(bitwise_equal(first.dvv, second.dvv));
     EXPECT_TRUE(bitwise_equal(first.dwv, second.dwv));

@@ -1,43 +1,23 @@
-// Bitwise parity of the cache-blocked kernel paths.
+// Composition of the partial-sweep kernels and first-touch placement.
 //
-// Column R-tiling, row banding, and non-temporal stores are pure blocking /
-// store-instruction transformations: per output lane the floating-point
-// operations and their order are unchanged, so every tiled configuration
-// must reproduce the untiled sweep BITWISE — vectors, dots, and full moment
-// sequences alike.  These tests pin that contract for both matrix formats.
+// Row-interval and run-list sweeps that together cover every row must
+// reproduce the one-shot sweep BITWISE in w (the dots agree to round-off,
+// since the thread split of each piece differs); a single full-range run is
+// the contiguous sweep itself, bit for bit.  Parallel first touch changes
+// page placement only, never values.
 #include <gtest/gtest.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include <cstring>
 #include <vector>
 
 #include "blas/block_vector.hpp"
-#include "core/moments.hpp"
-#include "physics/spectral_bounds.hpp"
 #include "physics/ti_model.hpp"
 #include "sparse/crs.hpp"
 #include "sparse/kpm_kernels.hpp"
-#include "sparse/sell.hpp"
 #include "util/check.hpp"
 
 namespace kpm {
 namespace {
-
-/// Restores the process-wide tile configuration on scope exit, so a failing
-/// assertion cannot leak a forced tiling into later tests.
-class TileGuard {
- public:
-  TileGuard() : saved_(sparse::tile_config()) {}
-  ~TileGuard() { sparse::set_tile_config(saved_); }
-  TileGuard(const TileGuard&) = delete;
-  TileGuard& operator=(const TileGuard&) = delete;
-
- private:
-  sparse::TileConfig saved_;
-};
 
 const sparse::CrsMatrix& matrix() {
   static const sparse::CrsMatrix m = [] {
@@ -47,11 +27,6 @@ const sparse::CrsMatrix& matrix() {
     p.nz = 6;
     return physics::build_ti_hamiltonian(p);
   }();
-  return m;
-}
-
-const sparse::SellMatrix& sell_matrix() {
-  static const sparse::SellMatrix m(matrix(), 8, 32);
   return m;
 }
 
@@ -83,12 +58,9 @@ struct SweepOutput {
   std::vector<complex_t> dwv;
 };
 
-/// One full fused sweep under a forced tile configuration.
+/// One full fused sweep with the on-the-fly dots.
 template <typename Matrix>
-SweepOutput run_sweep(const Matrix& a, int width,
-                      const sparse::TileConfig& cfg) {
-  TileGuard guard;
-  sparse::set_tile_config(cfg);
+SweepOutput run_sweep(const Matrix& a, int width) {
   SweepOutput out{block(a.nrows(), width, 0.5),
                   std::vector<complex_t>(static_cast<std::size_t>(width)),
                   std::vector<complex_t>(static_cast<std::size_t>(width))};
@@ -98,85 +70,11 @@ SweepOutput run_sweep(const Matrix& a, int width,
   return out;
 }
 
-constexpr int kWidths[] = {3, 8, 16, 32, 64};
-constexpr sparse::TileConfig kUntiled{-1, 0, false};
-
-std::vector<sparse::TileConfig> tiled_configs(int width) {
-  std::vector<sparse::TileConfig> out;
-  for (const int tile : {4, 8, 16}) {
-    if (tile >= width) continue;
-    for (const global_index band : {global_index{0}, global_index{64},
-                                    global_index{97}}) {
-      out.push_back({tile, band, false});
-      if (sparse::nt_stores_supported()) out.push_back({tile, band, true});
-    }
-  }
-  // Banding and NT stores without column tiling.
-  out.push_back({-1, 128, false});
-  if (sparse::nt_stores_supported()) out.push_back({-1, 0, true});
-  return out;
-}
-
-TEST(KernelTiling, EffectiveTileWidthResolvesConfig) {
-  TileGuard guard;
-  sparse::set_tile_config({0, 0, false});  // auto
-  EXPECT_EQ(sparse::effective_tile_width(8), 8);    // narrow: untiled
-  EXPECT_EQ(sparse::effective_tile_width(16), 16);  // at the register budget
-  EXPECT_EQ(sparse::effective_tile_width(32), 16);  // wide: auto-tiled
-  EXPECT_EQ(sparse::effective_tile_width(64), 16);
-  sparse::set_tile_config({8, 0, false});
-  EXPECT_EQ(sparse::effective_tile_width(64), 8);
-  EXPECT_EQ(sparse::effective_tile_width(4), 4);  // tile >= width: one pass
-  sparse::set_tile_config({-1, 0, false});
-  EXPECT_EQ(sparse::effective_tile_width(64), 64);  // forced untiled
-}
-
-TEST(KernelTiling, CrsTiledMatchesUntiledBitwise) {
-  for (const int width : kWidths) {
-    const auto ref = run_sweep(matrix(), width, kUntiled);
-    for (const auto& cfg : tiled_configs(width)) {
-      const auto tiled = run_sweep(matrix(), width, cfg);
-      EXPECT_TRUE(bitwise_equal(ref.w, tiled.w))
-          << "w mismatch at width " << width << " tile " << cfg.tile_width
-          << " band " << cfg.band_rows << " nt " << cfg.nt_stores;
-      EXPECT_TRUE(bitwise_equal(ref.dvv, tiled.dvv)) << "width " << width;
-      EXPECT_TRUE(bitwise_equal(ref.dwv, tiled.dwv)) << "width " << width;
-    }
-  }
-}
-
-TEST(KernelTiling, SellTiledMatchesUntiledBitwise) {
-  for (const int width : kWidths) {
-    const auto ref = run_sweep(sell_matrix(), width, kUntiled);
-    for (const auto& cfg : tiled_configs(width)) {
-      const auto tiled = run_sweep(sell_matrix(), width, cfg);
-      EXPECT_TRUE(bitwise_equal(ref.w, tiled.w))
-          << "w mismatch at width " << width << " tile " << cfg.tile_width
-          << " band " << cfg.band_rows << " nt " << cfg.nt_stores;
-      EXPECT_TRUE(bitwise_equal(ref.dvv, tiled.dvv)) << "width " << width;
-      EXPECT_TRUE(bitwise_equal(ref.dwv, tiled.dwv)) << "width " << width;
-    }
-  }
-}
-
-TEST(KernelTiling, AutoConfigMatchesUntiledBitwise) {
-  // The default configuration auto-tiles wide blocks; same bits either way.
-  for (const int width : {32, 64}) {
-    const auto ref = run_sweep(matrix(), width, kUntiled);
-    const auto aut = run_sweep(matrix(), width, {0, 0, false});
-    EXPECT_TRUE(bitwise_equal(ref.w, aut.w)) << "width " << width;
-    EXPECT_TRUE(bitwise_equal(ref.dwv, aut.dwv)) << "width " << width;
-  }
-}
-
 TEST(KernelTiling, RowIntervalsComposeUnderTiling) {
-  // aug_spmmv_rows over disjoint bands must reproduce the one-shot sweep
-  // even when every band runs column-tiled with NT stores.
+  // aug_spmmv_rows over disjoint bands must reproduce the one-shot sweep.
   const auto& a = matrix();
   const int width = 32;
-  const auto full = run_sweep(a, width, kUntiled);
-  TileGuard guard;
-  sparse::set_tile_config({8, 64, sparse::nt_stores_supported()});
+  const auto full = run_sweep(a, width);
   SweepOutput split{block(a.nrows(), width, 0.5),
                     std::vector<complex_t>(width),
                     std::vector<complex_t>(width)};
@@ -209,70 +107,34 @@ TEST(KernelTiling, FirstTouchVectorsMatchSerialOnes) {
   }
 }
 
-TEST(KernelTiling, MomentsBitwiseIdenticalTiledVsUntiled) {
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(4);
-#endif
-  const auto& h = matrix();
-  const auto s = physics::make_scaling(physics::gershgorin_bounds(h), 0.05);
-  core::MomentParams mp;
-  mp.num_moments = 32;
-  mp.num_random = 4;
-  mp.reduction = core::ReductionMode::per_iteration;  // exercises kernel dots
-  TileGuard guard;
-  sparse::set_tile_config(kUntiled);
-  const auto ref = core::moments_aug_spmmv(h, s, mp);
-  sparse::set_tile_config({8, 96, sparse::nt_stores_supported()});
-  const auto tiled = core::moments_aug_spmmv(h, s, mp);
-  ASSERT_EQ(ref.mu.size(), tiled.mu.size());
-  for (std::size_t m = 0; m < ref.mu.size(); ++m) {
-    // Exactly equal, not just close: blocking must not change the bits.
-    EXPECT_EQ(ref.mu[m], tiled.mu[m]) << "moment " << m;
-  }
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
-}
-
 TEST(KernelTiling, SingleRunMatchesContiguousSweepBitwise) {
   // aug_spmmv_runs with one full-range run is the contiguous sweep: same
-  // static thread split, same bits — tiled and untiled alike.
+  // static thread split, same bits.
   const auto& a = matrix();
   const auto rec = sparse::AugScalars::recurrence(0.3, -0.05);
   for (const int width : {3, 16, 32}) {
-    const auto cfgs = std::vector<sparse::TileConfig>{
-        kUntiled, {8, 64, sparse::nt_stores_supported()}};
-    for (const auto& cfg : cfgs) {
-      const auto ref = run_sweep(a, width, cfg);
-      TileGuard guard;
-      sparse::set_tile_config(cfg);
-      SweepOutput runs_out{block(a.nrows(), width, 0.5),
-                           std::vector<complex_t>(width),
-                           std::vector<complex_t>(width)};
-      const auto v = block(a.ncols(), width, 0.0);
-      const IndexRange<global_index> all{0, a.nrows()};
-      sparse::aug_spmmv_runs(
-          a, rec, v, runs_out.w,
-          std::span<const IndexRange<global_index>>(&all, 1), runs_out.dvv,
-          runs_out.dwv);
-      EXPECT_TRUE(bitwise_equal(ref.w, runs_out.w))
-          << "width " << width << " tile " << cfg.tile_width;
-      EXPECT_TRUE(bitwise_equal(ref.dvv, runs_out.dvv)) << "width " << width;
-      EXPECT_TRUE(bitwise_equal(ref.dwv, runs_out.dwv)) << "width " << width;
-    }
+    const auto ref = run_sweep(a, width);
+    SweepOutput runs_out{block(a.nrows(), width, 0.5),
+                         std::vector<complex_t>(width),
+                         std::vector<complex_t>(width)};
+    const auto v = block(a.ncols(), width, 0.0);
+    const IndexRange<global_index> all{0, a.nrows()};
+    sparse::aug_spmmv_runs(
+        a, rec, v, runs_out.w,
+        std::span<const IndexRange<global_index>>(&all, 1), runs_out.dvv,
+        runs_out.dwv);
+    EXPECT_TRUE(bitwise_equal(ref.w, runs_out.w)) << "width " << width;
+    EXPECT_TRUE(bitwise_equal(ref.dvv, runs_out.dvv)) << "width " << width;
+    EXPECT_TRUE(bitwise_equal(ref.dwv, runs_out.dwv)) << "width " << width;
   }
 }
 
 TEST(KernelTiling, InterleavedRunListsComposeUnderTiling) {
   // Complementary interleaved run lists (the overlapped interior/boundary
-  // shape) must compose to the one-shot sweep even when every piece runs
-  // column-tiled, banded, with NT stores.
+  // shape) must compose to the one-shot sweep.
   const auto& a = matrix();
   const int width = 32;
-  const auto full = run_sweep(a, width, kUntiled);
-  TileGuard guard;
-  sparse::set_tile_config({8, 64, sparse::nt_stores_supported()});
+  const auto full = run_sweep(a, width);
   SweepOutput split{block(a.nrows(), width, 0.5),
                     std::vector<complex_t>(width),
                     std::vector<complex_t>(width)};

@@ -1,14 +1,11 @@
 // Tests for the resumable sweep sessions and the batched multi-tenant KPM
 // service: chunked/resumed/cancelled solves must be bitwise identical to an
 // uninterrupted moments_of_block(), service-delivered moments must be bitwise
-// identical to the direct library call for every coalesced batch width, the
-// content-addressed result cache must evict in LRU order, and a shared
-// AutoTuner must run one probe for concurrent users, not one per thread.
+// identical to the direct library call for every coalesced batch width, and
+// the content-addressed result cache must evict in LRU order.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/damping.hpp"
@@ -17,7 +14,6 @@
 #include "physics/spectral_bounds.hpp"
 #include "physics/ti_model.hpp"
 #include "physics/stencil_models.hpp"
-#include "runtime/autotune.hpp"
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
 #include "sparse/bsr.hpp"
@@ -762,40 +758,6 @@ TEST(ResultCache, RejectsOversizeAndZeroBudgetDisables) {
   disabled.insert("x", make_result(16));
   EXPECT_FALSE(disabled.contains("x"));
   EXPECT_EQ(disabled.find("x"), nullptr);
-}
-
-// --- Concurrent AutoTuner ----------------------------------------------------
-
-TEST(Service, ConcurrentTunersRunOneProbeAndAgree) {
-  const auto h = small_ti();
-  const std::string path = "test_service_tune_cache.json";
-  std::remove(path.c_str());
-  runtime::AutoTuner tuner(path);
-  runtime::TileTuneParams p;
-  p.sweeps_per_probe = 1;
-  p.install = false;
-
-  constexpr int kThreads = 4;
-  std::vector<runtime::TileTuneResult> results(kThreads);
-  std::vector<std::thread> threads;
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back(
-        [&, i] { results[static_cast<std::size_t>(i)] = tuner.tune_tiles(h, 8, p); });
-  }
-  for (auto& t : threads) t.join();
-
-  // Exactly one thread probed; the double-checked lookup served the rest
-  // from the cache, and everyone agrees on the winning configuration.
-  int probed = 0;
-  for (const auto& r : results) {
-    if (!r.from_cache) ++probed;
-    EXPECT_EQ(r.key, results.front().key);
-    EXPECT_EQ(r.config.tile_width, results.front().config.tile_width);
-    EXPECT_EQ(r.config.band_rows, results.front().config.band_rows);
-    EXPECT_EQ(r.config.nt_stores, results.front().config.nt_stores);
-  }
-  EXPECT_EQ(probed, 1);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Parity suite for the matrix-free stencil operator (DESIGN.md §5h): for
 // every stencil model the KPM moments must equal the assembled-CRS moments
-// BIT FOR BIT — same block widths, same tile configurations, same row-window
-// splits — because the stencil kernels walk the identical scalar-row /
-// ascending-column order and reuse the builders' exact coefficient
-// arithmetic.  Anything weaker would fork the numerical identity of every
-// downstream oracle (service cache keys, distributed parity, checkpoints).
+// BIT FOR BIT — same block widths, same row-window splits — because the
+// stencil kernels walk the identical scalar-row / ascending-column order and
+// reuse the builders' exact coefficient arithmetic.  Anything weaker would
+// fork the numerical identity of every downstream oracle (service cache
+// keys, distributed parity, checkpoints).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "physics/ssh_chain.hpp"
 #include "physics/stencil_models.hpp"
 #include "physics/ti_model.hpp"
-#include "runtime/autotune.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/kpm_kernels.hpp"
 #include "sparse/matrix_stats.hpp"
@@ -173,30 +172,6 @@ TEST(Stencil, RowsAndRunsComposeToFullSweep) {
     EXPECT_NEAR(std::abs(dvv[r] - rdvv[r]), 0.0, 1e-12);
     EXPECT_NEAR(std::abs(dwv[r] - rdwv[r]), 0.0, 1e-12);
   }
-}
-
-TEST(Stencil, TileConfigIsBitwiseInvisible) {
-  const auto p = ti_params();
-  const auto crs = physics::build_ti_hamiltonian(p);
-  const auto st = physics::make_ti_stencil(p);
-  const auto s = scaling_for(crs);
-  core::MomentParams mp;
-  mp.num_moments = 12;
-  mp.num_random = 8;
-  const auto saved = sparse::tile_config();
-  sparse::set_tile_config({});
-  const auto plain = core::moments_aug_spmmv(st, s, mp);
-  for (const sparse::TileConfig cfg :
-       {sparse::TileConfig{4, 0, false}, sparse::TileConfig{8, 4096, false},
-        sparse::TileConfig{-1, 1024, true}}) {
-    sparse::set_tile_config(cfg);
-    const auto tiled = core::moments_aug_spmmv(st, s, mp);
-    expect_bitwise(tiled, plain, "tiled stencil");
-    // Tiling must not break CRS parity either.
-    expect_bitwise(tiled, core::moments_aug_spmmv(crs, s, mp),
-                   "tiled stencil vs tiled crs");
-  }
-  sparse::set_tile_config(saved);
 }
 
 TEST(Stencil, LocalizedWindowMatchesGlobalRows) {
@@ -394,15 +369,14 @@ TEST(Stencil, ExpressibilityStatsSeparateConstantFromDisordered) {
   EXPECT_GT(stats.stencil_const4, 0.0);
 }
 
-TEST(Stencil, AutotunerKeysCacheByStencilKind) {
+TEST(Stencil, KindNamesTheModel) {
   const auto p = ti_params();
-  EXPECT_EQ(runtime::format_tag(physics::make_ti_stencil(p)), "stencil-ti");
+  EXPECT_EQ(physics::make_ti_stencil(p).kind(), "ti");
   physics::AndersonParams ap;
   ap.nx = 4;
   ap.ny = 4;
   ap.nz = 4;
-  EXPECT_EQ(runtime::format_tag(physics::make_anderson_stencil(ap)),
-            "stencil-anderson");
+  EXPECT_EQ(physics::make_anderson_stencil(ap).kind(), "anderson");
 }
 
 }  // namespace
