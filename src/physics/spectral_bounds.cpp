@@ -2,18 +2,66 @@
 
 #include <algorithm>
 #include <cmath>
-#include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "blas/level1.hpp"
 #include "physics/dense_eigen.hpp"
-#include "sparse/spmv.hpp"
 #include "sparse/stencil.hpp"
 #include "util/aligned.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 
 namespace kpm::physics {
+namespace {
+
+/// w = H q and returns the Rayleigh coefficient Re<q|w>, in one pass over
+/// the matrix.
+double apply_and_project(const sparse::CrsMatrix& h,
+                         std::span<const complex_t> q, std::span<complex_t> w) {
+  const global_index nrows = h.nrows();
+  const auto* __restrict__ row_ptr = h.row_ptr().data();
+  const auto* __restrict__ col = h.col_idx().data();
+  const auto* __restrict__ val = h.values().data();
+  const complex_t* __restrict__ qp = q.data();
+  complex_t* __restrict__ wp = w.data();
+  double alpha = 0.0;
+#pragma omp parallel for schedule(static) reduction(+ : alpha)
+  for (global_index i = 0; i < nrows; ++i) {
+    double re = 0.0;
+    double im = 0.0;
+    for (global_index k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+      const complex_t a = val[k];
+      const complex_t x = qp[col[k]];
+      re += a.real() * x.real() - a.imag() * x.imag();
+      im += a.real() * x.imag() + a.imag() * x.real();
+    }
+    wp[i] = {re, im};
+    alpha += qp[i].real() * re + qp[i].imag() * im;
+  }
+  return alpha;
+}
+
+/// w <- w - alpha q - beta q_prev; returns ||w||.
+double orthogonalize(std::span<complex_t> w, double alpha,
+                     std::span<const complex_t> q, double beta,
+                     std::span<const complex_t> q_prev) {
+  const auto n = static_cast<std::int64_t>(w.size());
+  complex_t* __restrict__ wp = w.data();
+  const complex_t* __restrict__ qp = q.data();
+  const complex_t* __restrict__ pp = q_prev.data();
+  double norm2 = 0.0;
+#pragma omp parallel for simd schedule(static) reduction(+ : norm2)
+  for (std::int64_t i = 0; i < n; ++i) {
+    const complex_t r = wp[i] - alpha * qp[i] - beta * pp[i];
+    wp[i] = r;
+    norm2 += std::norm(r);
+  }
+  return std::sqrt(norm2);
+}
+
+}  // namespace
 
 SpectralInterval gershgorin_bounds(const sparse::CrsMatrix& h) {
   require(h.nrows() == h.ncols(), "gershgorin: square matrix required");
@@ -112,35 +160,29 @@ SpectralInterval lanczos_bounds(const sparse::CrsMatrix& h, int sweeps,
   sweeps = static_cast<int>(
       std::min<global_index>(sweeps, h.nrows()));
 
+  // Three N-vectors and no stored basis.  Without reorthogonalization the
+  // basis loses orthogonality once a Ritz value converges; that adds ghost
+  // copies of converged values but does not push the extremes outward
+  // (Paige), so the result stays an inner estimate.
   aligned_vector<complex_t> q_prev(n, complex_t{});
   aligned_vector<complex_t> q(n);
   aligned_vector<complex_t> w(n);
   RandomVectorSource rng(seed);
   rng.fill(q);
 
-  std::vector<aligned_vector<complex_t>> basis;  // full reorthogonalization
-  basis.push_back(q);
   std::vector<double> alpha;
   std::vector<double> beta;  // beta[j] couples q_j and q_{j+1}
 
   for (int j = 0; j < sweeps; ++j) {
-    sparse::spmv(h, q, w);
-    const complex_t a = blas::dot(q, w);
-    alpha.push_back(a.real());
-    // w <- w - alpha q - beta q_prev
-    blas::axpy(-a, q, w);
-    if (j > 0) blas::axpy({-beta.back(), 0.0}, q_prev, w);
-    // Full reorthogonalization for numerical robustness at small n.
-    for (const auto& v : basis) {
-      const complex_t overlap = blas::dot(v, w);
-      blas::axpy(-overlap, v, w);
-    }
-    const double b = blas::nrm2(w);
+    alpha.push_back(apply_and_project(h, q, w));
+    const double b = orthogonalize(w, alpha.back(), q,
+                                   j > 0 ? beta.back() : 0.0, q_prev);
     if (b < 1e-13 || j == sweeps - 1) break;
     beta.push_back(b);
-    q_prev = q;
-    for (std::size_t i = 0; i < n; ++i) q[i] = w[i] / b;
-    basis.push_back(q);
+    // (q_prev, q, w) <- (q, w / b, q_prev): the old q_prev is the next w.
+    std::swap(q_prev, q);
+    std::swap(q, w);
+    blas::scal({1.0 / b, 0.0}, q);
   }
 
   // Eigenvalues of the tridiagonal Rayleigh matrix via the dense solver.

@@ -52,9 +52,11 @@ struct Scaling {
 [[nodiscard]] SpectralInterval gershgorin_bounds(
     const sparse::StencilOperator& h);
 
-/// Extremal eigenvalue estimate from `sweeps` Lanczos iterations with full
-/// reorthogonalization.  Tight but a lower bound on the spectral radius, so
-/// callers should add a safety margin.
+/// Extremal eigenvalue estimate from `sweeps` steps of the plain three-term
+/// Lanczos recurrence: three N-vectors, O(N) memory, no stored basis and no
+/// reorthogonalization.  The extreme Ritz values are an inner estimate of
+/// the spectrum (never outside it, up to rounding), so callers should add a
+/// safety margin.
 [[nodiscard]] SpectralInterval lanczos_bounds(const sparse::CrsMatrix& h,
                                               int sweeps = 30,
                                               std::uint64_t seed = 123);

@@ -63,11 +63,14 @@ struct TIParams {
                                       int orbital);
 
 /// Builds the sparse Hamiltonian.  The result is Hermitian by construction.
+/// `p.potential` is called exactly once per site, serially, in z-y-x order
+/// (it may hold state); the rows are then assembled in parallel.  Block
+/// entries that compare equal to zero are not stored.
 [[nodiscard]] sparse::CrsMatrix build_ti_hamiltonian(const TIParams& p);
 
-/// Builds the same Hamiltonian directly in 4x4 block form — one dense site
-/// block per (site, neighbour) pair, no COO/CRS round trip.  The nonzero
-/// values are bitwise identical to build_ti_hamiltonian() (f64 precision);
+/// Builds the same Hamiltonian in 4x4 block form — one dense site block per
+/// (site, neighbour) pair, from the same per-site walk.  The nonzero values
+/// are bitwise identical to build_ti_hamiltonian() (f64 precision);
 /// MatrixPrecision::f32 narrows the stored values once at assembly.
 [[nodiscard]] sparse::BsrMatrix build_ti_hamiltonian_bsr(
     const TIParams& p,

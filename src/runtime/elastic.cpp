@@ -74,6 +74,14 @@ struct Cursor {
     std::memcpy(&x, &bits, sizeof(x));
     return x;
   }
+  /// A count of items of at least `item_bytes` each, checked against the
+  /// bytes left before the caller sizes anything by it.
+  std::size_t count(std::size_t item_bytes) {
+    const std::uint64_t n = u64();
+    require(n <= left / item_bytes,
+            "elastic checkpoint: count exceeds the bytes left in the file");
+    return static_cast<std::size_t>(n);
+  }
 };
 
 std::vector<global_index> offsets_copy(const RowPartition& part) {
@@ -234,11 +242,11 @@ ElasticResult ElasticRuntime::run(int initial_ranks) {
         }
       }
     }
-    const auto nevents = c.u64();
-    ctx.report.schedule.resize(static_cast<std::size_t>(nevents));
+    // Each event is at least its sweep and its offset count (16 bytes).
+    ctx.report.schedule.resize(c.count(16));
     for (auto& ev : ctx.report.schedule) {
       ev.sweep = static_cast<int>(c.u64());
-      ev.offsets.resize(static_cast<std::size_t>(c.u64()));
+      ev.offsets.resize(c.count(8));
       for (auto& o : ev.offsets) o = static_cast<global_index>(c.u64());
     }
     // Membership events the restored frontier already passed had their

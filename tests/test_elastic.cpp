@@ -11,7 +11,10 @@
 // plus run-to-run bitwise determinism.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -249,6 +252,73 @@ TEST(Elastic, ResumeRejectsMismatchedOperatorOrParams) {
   // The original configuration still restores fine.
   const auto ok = runtime::ElasticRuntime(h, s, mp, resume).run(2);
   EXPECT_EQ(static_cast<int>(ok.mu.size()), mp.num_moments);
+  std::remove(path.c_str());
+}
+
+TEST(Elastic, RestoreRejectsInflatedCountsBeforeSizingByThem) {
+  // A corrupted event count or offset count must be rejected against the
+  // bytes left in the file, not passed to resize(): a count of 2^40 would
+  // otherwise demand terabytes before the truncation check could fire.
+  const auto h = ti_matrix();
+  const auto s = physics::make_scaling(physics::gershgorin_bounds(h), 0.05);
+  const auto mp = params(2);
+  const std::string path = scratch_path("inflated");
+  std::remove(path.c_str());
+  runtime::ElasticOptions opts;
+  opts.chunk_sweeps = 3;
+  opts.checkpoint_path = path;
+  opts.stop_after_sweep = 3;
+  (void)runtime::ElasticRuntime(h, s, mp, opts).run(2);
+
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Little-endian u64 fields (KPMEL002): 8 magic bytes, then fingerprint,
+  // mode, depth, M, R, seed, kind, next_sweep (byte 64), n, ranks (byte
+  // 80), ranks + 1 offsets, the rate table, eta, |v> and |w>, and last the
+  // event schedule.
+  auto u64_at = [&](std::size_t pos) {
+    std::uint64_t x = 0;
+    for (int i = 0; i < 8; ++i) {
+      const auto byte = static_cast<unsigned char>(bytes[pos + i]);
+      x |= static_cast<std::uint64_t>(byte) << (8 * i);
+    }
+    return x;
+  };
+  const std::uint64_t next_sweep = u64_at(64);
+  const std::uint64_t ranks = u64_at(80);
+  std::size_t events_at = 88 + (ranks + 1) * 8;
+  events_at += 8 + u64_at(events_at) * 8;
+  events_at += static_cast<std::size_t>(mp.num_random) * 2 * next_sweep * 8;
+  events_at += 2 * static_cast<std::size_t>(h.nrows()) * mp.num_random * 16;
+  // One schedule entry: sweep 0 on the initial partition.
+  ASSERT_EQ(u64_at(events_at), 1u);
+  ASSERT_EQ(bytes.size(), events_at + 8 + 16 + (ranks + 1) * 8);
+
+  runtime::ElasticOptions resume = opts;
+  resume.resume = true;
+  resume.stop_after_sweep = -1;
+  // The event count, then the offset count of the first event.
+  for (const std::size_t field : {events_at, events_at + 16}) {
+    std::vector<char> patched = bytes;
+    for (int i = 0; i < 8; ++i) {
+      patched[field + i] =
+          static_cast<char>((std::uint64_t{1} << 40) >> (8 * i));
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    try {
+      (void)runtime::ElasticRuntime(h, s, mp, resume).run(2);
+      ADD_FAILURE() << "restore accepted a count of 2^40 at byte " << field;
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find("count exceeds"), std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 

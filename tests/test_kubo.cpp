@@ -2,7 +2,9 @@
 // eigensystem solver that validates it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/kubo.hpp"
 #include "physics/dense_eigen.hpp"
@@ -208,23 +210,27 @@ TEST(Kubo, StochasticConvergesToDeterministic) {
   }
 }
 
+// The physical claims below are asserted on the exact trace
+// (deterministic_full_trace), so they do not depend on a random seed; the
+// stochastic estimator is tested against that trace separately.
+
 TEST(Kubo, ConductivityNonNegativeAndPeaksInsideBand) {
   // Clean chain: sigma(E) must be non-negative and larger at the band
-  // centre than near the band edges.
+  // centre than near the band edges (the exact trace reads 1.735 x).
   const auto p = chain_params(24, 0.0);
   const auto h = physics::build_anderson_hamiltonian(p);
   const auto j = current_operator_x(p);
   const auto s = physics::make_scaling(physics::gershgorin_bounds(h), 0.05);
   KuboParams kp;
   kp.num_moments = 32;
-  kp.num_random = 16;
+  kp.deterministic_full_trace = true;
   const auto m = kubo_moments(h, s, j, kp);
   ConductivityParams cp;
   cp.num_points = 101;
   const auto curve = kubo_conductivity(m, s, cp);
   double center = 0.0, edge = 0.0;
   for (std::size_t k = 0; k < curve.energy.size(); ++k) {
-    EXPECT_GE(curve.sigma[k], -1e-6 * std::abs(curve.sigma[50]));
+    EXPECT_GE(curve.sigma[k], 0.0);
     if (std::abs(curve.energy[k]) < 0.5) {
       center = std::max(center, curve.sigma[k]);
     }
@@ -232,10 +238,13 @@ TEST(Kubo, ConductivityNonNegativeAndPeaksInsideBand) {
       edge = std::max(edge, curve.sigma[k]);
     }
   }
-  EXPECT_GT(center, 2.0 * edge);
+  EXPECT_GT(center, 1.5 * edge);
 }
 
 TEST(Kubo, DisorderSuppressesConductivity) {
+  // Exact trace: clean / disordered (W = 4) band-centre conductivity reads
+  // 1.531 for the default disorder realization and 1.32-2.26 over eight
+  // realizations of this 24 x 2 ladder.
   const auto s_params = chain_params(24, 0.0);
   auto run = [&](double disorder) {
     auto p = s_params;
@@ -246,7 +255,7 @@ TEST(Kubo, DisorderSuppressesConductivity) {
         physics::make_scaling(physics::gershgorin_bounds(h), 0.05);
     KuboParams kp;
     kp.num_moments = 24;
-    kp.num_random = 24;
+    kp.deterministic_full_trace = true;
     const auto m = kubo_moments(h, s, j, kp);
     ConductivityParams cp;
     cp.num_points = 51;
@@ -259,7 +268,43 @@ TEST(Kubo, DisorderSuppressesConductivity) {
     }
     return at_center;
   };
-  EXPECT_GT(run(0.0), 1.5 * run(4.0));
+  EXPECT_GT(run(0.0), 1.25 * run(4.0));
+}
+
+TEST(Kubo, StochasticMomentsWithinVarianceBoundAcrossSeeds) {
+  // With R normalized phase vectors, mu~_nm = (1/R) sum_r <r|A|r> for
+  // A = T_n(H~) J T_m(H~) J has variance sum_{i!=j} |A_ij|^2 / (R N^2)
+  // <= ||A||^2 / (R N), and ||A|| <= ||J||^2 because |T_n| <= 1 on the
+  // scaled spectrum.  So sigma <= ||J||^2 / sqrt(R N), with ||J|| bounded
+  // by Gershgorin.  Over seeds 1-40 the largest deviation of any moment is
+  // 1.4 sigma-bounds; the test allows 4.
+  const auto p = chain_params(24, 0.0);
+  const auto h = physics::build_anderson_hamiltonian(p);
+  const auto j = current_operator_x(p);
+  const auto s = physics::make_scaling(physics::gershgorin_bounds(h), 0.05);
+  const auto gj = physics::gershgorin_bounds(j);
+  const double j_norm = std::max(std::abs(gj.lower), std::abs(gj.upper));
+  KuboParams exact_params;
+  exact_params.num_moments = 32;
+  exact_params.deterministic_full_trace = true;
+  const auto exact = kubo_moments(h, s, j, exact_params);
+
+  KuboParams kp = exact_params;
+  kp.deterministic_full_trace = false;
+  kp.num_random = 16;
+  const double sigma_bound =
+      j_norm * j_norm /
+      std::sqrt(static_cast<double>(kp.num_random) *
+                static_cast<double>(h.nrows()));
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    kp.seed = seed;
+    const auto m = kubo_moments(h, s, j, kp);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < m.mu.size(); ++i) {
+      worst = std::max(worst, std::abs(m.mu[i] - exact.mu[i]));
+    }
+    EXPECT_LE(worst, 4.0 * sigma_bound) << "seed " << seed;
+  }
 }
 
 TEST(Kubo, InvalidInputsThrow) {

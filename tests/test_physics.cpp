@@ -3,7 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <ostream>
+#include <span>
+#include <string>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "physics/anderson.hpp"
 #include "physics/dense_eigen.hpp"
@@ -11,6 +22,7 @@
 #include "physics/graphene.hpp"
 #include "physics/spectral_bounds.hpp"
 #include "physics/ti_model.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/matrix_stats.hpp"
 
 namespace kpm::physics {
@@ -151,6 +163,186 @@ TEST(TiModel, SiteIndexingIsBijective) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Direct CRS assembly against the COO reference it replaced.
+
+/// The triplet assembler build_ti_hamiltonian used before direct assembly:
+/// one COO triplet per block entry that does not compare equal to zero,
+/// sorted, merged and copied into CRS.
+sparse::CrsMatrix coo_reference(const TIParams& p) {
+  const global_index dim = p.dimension();
+  sparse::CooMatrix coo(dim, dim);
+  const std::array<Mat4, 3> hop = {hopping_block(1, p.t), hopping_block(2, p.t),
+                                   hopping_block(3, p.t)};
+  auto add_block = [&](global_index row_base, global_index col_base,
+                       const Mat4& block) {
+    for (int a = 0; a < 4; ++a) {
+      for (int b = 0; b < 4; ++b) {
+        if (block[a][b] != complex_t{}) {
+          coo.add(row_base + a, col_base + b, block[a][b]);
+        }
+      }
+    }
+  };
+  for (int z = 0; z < p.nz; ++z) {
+    for (int y = 0; y < p.ny; ++y) {
+      for (int x = 0; x < p.nx; ++x) {
+        const Site s{x, y, z};
+        const global_index base = site_index(p, s, 0);
+        const double v = p.potential ? p.potential(s) : 0.0;
+        add_block(base, base, onsite_block(v, p.t));
+        const std::array<Site, 3> neighbor = {
+            Site{x + 1, y, z}, Site{x, y + 1, z}, Site{x, y, z + 1}};
+        const std::array<bool, 3> periodic = {p.periodic_x, p.periodic_y,
+                                              p.periodic_z};
+        const std::array<int, 3> extent = {p.nx, p.ny, p.nz};
+        for (int j = 0; j < 3; ++j) {
+          Site nb = neighbor[j];
+          int& coord = j == 0 ? nb.x : (j == 1 ? nb.y : nb.z);
+          if (coord >= extent[j]) {
+            if (!periodic[j]) continue;
+            coord = 0;
+          }
+          const global_index nb_base = site_index(p, nb, 0);
+          add_block(nb_base, base, hop[j]);
+          add_block(base, nb_base, adjoint(hop[j]));
+        }
+      }
+    }
+  }
+  coo.compress();
+  return sparse::CrsMatrix(coo);
+}
+
+template <class T>
+bool same_bytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+enum class PotentialKind { none, dots, counter };
+
+struct AssemblyCase {
+  std::array<bool, 3> periodic;  ///< per axis x, y, z
+  PotentialKind potential;
+};
+
+std::string case_name(const AssemblyCase& c) {
+  std::string out;
+  for (int j = 0; j < 3; ++j) {
+    out += std::string(1, "xyz"[j]) + (c.periodic[j] ? "_periodic_" : "_open_");
+  }
+  switch (c.potential) {
+    case PotentialKind::none: return out + "none";
+    case PotentialKind::dots: return out + "dots";
+    case PotentialKind::counter: return out + "counter";
+  }
+  return out;
+}
+
+// Test ids print the parameter: by name, so they are stable across builds.
+void PrintTo(const AssemblyCase& c, std::ostream* os) { *os << case_name(c); }
+
+std::vector<AssemblyCase> assembly_cases() {
+  std::vector<AssemblyCase> out;
+  for (int mask = 0; mask < 8; ++mask) {
+    for (const auto kind : {PotentialKind::none, PotentialKind::dots,
+                            PotentialKind::counter}) {
+      out.push_back(
+          {{(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0}, kind});
+    }
+  }
+  return out;
+}
+
+/// Fresh parameters for one build.  The counter potential holds state: it
+/// returns the next value of a fixed cycle on every call, including -0.0
+/// and the +-2t that zero half of the on-site diagonal, and logs each site
+/// it is called for in `calls`.
+TIParams assembly_params(const AssemblyCase& c, std::array<int, 3> extent,
+                         std::vector<Site>* calls) {
+  TIParams p;
+  p.nx = extent[0];
+  p.ny = extent[1];
+  p.nz = extent[2];
+  p.periodic_x = c.periodic[0];
+  p.periodic_y = c.periodic[1];
+  p.periodic_z = c.periodic[2];
+  if (c.potential == PotentialKind::dots) {
+    DotLattice dots;
+    dots.period = 3.0;
+    dots.radius = 1.0;
+    dots.surface_depth = 2;
+    p.potential = [dots](const Site& s) { return dots.potential(s); };
+  } else if (c.potential == PotentialKind::counter) {
+    p.potential = [calls, k = 0](const Site& s) mutable {
+      static constexpr std::array<double, 7> cycle = {0.25, -2.0, -0.0, 2.0,
+                                                      -0.5, 0.0,  0.125};
+      calls->push_back(s);
+      return cycle[static_cast<std::size_t>(k++) % cycle.size()];
+    };
+  }
+  return p;
+}
+
+class TiModel : public ::testing::TestWithParam<AssemblyCase> {};
+
+TEST_P(TiModel, DirectAssemblyMatchesCooReference) {
+  const AssemblyCase c = GetParam();
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  // A periodic axis needs more than two sites.
+  auto extents = [&](int j) {
+    return c.periodic[j] ? std::vector<int>{3, 4, 7}
+                         : std::vector<int>{1, 3, 4, 7};
+  };
+  for (const int nx : extents(0)) {
+    for (const int ny : extents(1)) {
+      for (const int nz : extents(2)) {
+        std::vector<Site> calls;
+        const auto ref =
+            coo_reference(assembly_params(c, {nx, ny, nz}, &calls));
+        for (const int threads : {1, 2, 4}) {
+          SCOPED_TRACE(::testing::Message() << nx << "x" << ny << "x" << nz
+                                            << ", " << threads << " threads");
+#ifdef _OPENMP
+          omp_set_num_threads(threads);
+#endif
+          calls.clear();
+          const auto h =
+              build_ti_hamiltonian(assembly_params(c, {nx, ny, nz}, &calls));
+          EXPECT_TRUE(same_bytes(h.row_ptr(), ref.row_ptr()));
+          EXPECT_TRUE(same_bytes(h.col_idx(), ref.col_idx()));
+          EXPECT_TRUE(same_bytes(h.values(), ref.values()));
+          if (c.potential != PotentialKind::counter) continue;
+          // Exactly once per site, in z-y-x order.
+          ASSERT_EQ(calls.size(), static_cast<std::size_t>(nx * ny * nz));
+          std::size_t i = 0;
+          for (int z = 0; z < nz; ++z) {
+            for (int y = 0; y < ny; ++y) {
+              for (int x = 0; x < nx; ++x, ++i) {
+                EXPECT_TRUE(calls[i].x == x && calls[i].y == y &&
+                            calls[i].z == z)
+                    << "call " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Lattices, TiModel, ::testing::ValuesIn(assembly_cases()),
+    [](const ::testing::TestParamInfo<AssemblyCase>& info) {
+      return case_name(info.param);
+    });
 
 TEST(Anderson, CleanSpectrumMatchesBloch) {
   AndersonParams p;
@@ -301,6 +493,30 @@ TEST(SpectralBounds, GershgorinWiderThanLanczos) {
   const auto l = lanczos_bounds(h, 30);
   EXPECT_LE(g.lower, l.lower + 1e-9);
   EXPECT_GE(g.upper, l.upper - 1e-9);
+}
+
+TEST(SpectralBounds, LanczosStaysInsideExactSpectrumAcrossSeeds) {
+  // The three-term recurrence keeps no basis; losing orthogonality must not
+  // push the Ritz extremes outside the spectrum, for any start vector.  At
+  // 9 x 8 x 7 thirty steps leave the extremes ~1e-8 inside the spectrum (on
+  // a cube of even extent they converge to the last bit).
+  TIParams p;
+  p.nx = 9;
+  p.ny = 8;
+  p.nz = 7;
+  p.periodic_z = true;
+  const auto h = build_ti_hamiltonian(p);
+  const auto exact = exact_ti_spectrum_periodic(p);
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const auto iv = lanczos_bounds(h, 30, seed);
+    EXPECT_GE(iv.lower, exact.front() - 1e-9);
+    EXPECT_LE(iv.upper, exact.back() + 1e-9);
+    // Each exact extreme lies inside the 5 % margin compute_dos adds.
+    const auto s = make_scaling(iv, 0.05);
+    EXPECT_GE(s.to_unit(exact.front()), -1.0);
+    EXPECT_LE(s.to_unit(exact.back()), 1.0);
+  }
 }
 
 }  // namespace
