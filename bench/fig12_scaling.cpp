@@ -412,11 +412,27 @@ void write_halo_sweep_json(std::FILE* f, const HaloDepthSweep& sw) {
   std::fprintf(f, "    ]\n  }\n");
 }
 
+/// Where a section writes its JSON record: KPM_BENCH_JSON if set, else the
+/// committed file `committed`.  A --smoke run writes its toy-size records
+/// only where KPM_BENCH_JSON points (bench_check sets it) and otherwise
+/// none, so it never overwrites a committed record; "" means skip.
+std::string json_path(const char* committed, bool smoke) {
+  const char* path_env = std::getenv("KPM_BENCH_JSON");
+  if (path_env != nullptr) return path_env;
+  if (smoke) {
+    std::printf("\n[smoke] %s not rewritten (set KPM_BENCH_JSON to write "
+                "the toy-size records)\n",
+                committed);
+    return {};
+  }
+  return committed;
+}
+
 void write_dist_json(const sparse::CrsMatrix& h, const core::MomentParams& mp,
                      int reps, const std::vector<DistRecord>& records,
-                     const HaloDepthSweep& sweep) {
-  const char* path_env = std::getenv("KPM_BENCH_JSON");
-  const std::string path = path_env != nullptr ? path_env : "BENCH_dist.json";
+                     const HaloDepthSweep& sweep, bool smoke) {
+  const std::string path = json_path("BENCH_dist.json", smoke);
+  if (path.empty()) return;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -474,7 +490,7 @@ void measured_distributed_section(bool smoke) {
   // --smoke (bench_check): only the halo-depth sweep, whose per-sweep
   // structural counters are rep-count independent, plus the empty main grid.
   if (smoke) {
-    write_dist_json(h, mp, reps, {}, halo_depth_section(true));
+    write_dist_json(h, mp, reps, {}, halo_depth_section(true), true);
     return;
   }
 
@@ -519,7 +535,7 @@ void measured_distributed_section(bool smoke) {
                 best->seconds_min, base->seconds_min,
                 base->seconds_min / best->seconds_min);
   }
-  write_dist_json(h, mp, reps, records, halo_depth_section(false));
+  write_dist_json(h, mp, reps, records, halo_depth_section(false), false);
 }
 
 // --- Elastic runtime section (--elastic) ------------------------------------
@@ -547,9 +563,10 @@ int bitwise(const std::vector<double>& a, const std::vector<double>& b) {
 
 void write_elastic_json(const sparse::CrsMatrix& h, const core::MomentParams& mp,
                         int ranks, int chunk_sweeps,
-                        const std::vector<ElasticRecord>& records) {
-  const char* path_env = std::getenv("KPM_BENCH_JSON");
-  const std::string path = path_env != nullptr ? path_env : "BENCH_elastic.json";
+                        const std::vector<ElasticRecord>& records,
+                        bool smoke) {
+  const std::string path = json_path("BENCH_elastic.json", smoke);
+  if (path.empty()) return;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -737,7 +754,7 @@ void elastic_section(bool smoke) {
       std::exit(1);
     }
   }
-  write_elastic_json(h, mp, ranks, base.chunk_sweeps, records);
+  write_elastic_json(h, mp, ranks, base.chunk_sweeps, records, smoke);
 }
 
 }  // namespace

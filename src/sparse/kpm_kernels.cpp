@@ -45,6 +45,16 @@ bool spans_overlap(std::span<const complex_t> a, std::span<const complex_t> b) {
   return lt(a.data(), b_end) && lt(b.data(), a_end);
 }
 
+void check_runs(std::span<const IndexRange<global_index>> runs,
+                global_index nrows) {
+  global_index prev = 0;
+  for (const auto& r : runs) {
+    require(r.begin >= prev && r.begin <= r.end && r.end <= nrows,
+            "aug_spmmv_runs: runs must be ascending, disjoint and in bounds");
+    prev = r.end;
+  }
+}
+
 void check_block(const global_index nrows, const global_index ncols,
                  const blas::BlockVector& v, const blas::BlockVector& w,
                  std::span<complex_t> dot_vv, std::span<complex_t> dot_wv) {
@@ -91,9 +101,9 @@ struct ScalarsRI {
 };
 
 // Lane-count tags of the dispatch layer: FixedWidth<N> makes every lane loop
-// a compile-time-constant trip count (fully unrolled / vectorized with
-// stack-resident accumulators), RuntimeWidth is the generic fallback.  The
-// tag describes the full block width: every row is one pass over all lanes.
+// a compile-time-constant trip count (register accumulators from N = 8 on,
+// see RowAcc), RuntimeWidth is the generic fallback.  The tag describes the
+// full block width: every row is one pass over all lanes.
 template <int N>
 struct FixedWidth {
   static constexpr bool fixed = true;
@@ -168,9 +178,10 @@ class DotPartials {
 
 // ---------------------------------------------------------------------------
 // Shared row epilogue: w_i = alpha*acc + beta*v_i + gamma*w_i on split
-// parts, plus the on-the-fly |v_i|^2 and conj(w_new)*v_i partials.  `vi` and
-// `wi` point at row i of v and w.
-template <class W, bool WithDots>
+// parts, plus the on-the-fly |v_i|^2 and conj(w_new)*v_i partials.  Lane r's
+// accumulator parts are acc_re[S*r] and acc_im[S*r] (S = 2 reads interleaved
+// (re, im) pairs).  `vi` and `wi` point at row i of v and w.
+template <class W, bool WithDots, int S>
 inline void finish_row(W wt, const ScalarsRI& s,
                        const double* __restrict__ acc_re,
                        const double* __restrict__ acc_im,
@@ -182,7 +193,7 @@ inline void finish_row(W wt, const ScalarsRI& s,
   for (int r = 0; r < lanes; ++r) {
     const double vre = vi[2 * r], vim = vi[2 * r + 1];
     const double wre0 = wi[2 * r], wim0 = wi[2 * r + 1];
-    const double sre = acc_re[r], sim = acc_im[r];
+    const double sre = acc_re[S * r], sim = acc_im[S * r];
     const double wre = s.ar * sre - s.ai * sim + s.br * vre - s.bi * vim +
                        s.gr * wre0 - s.gi * wim0;
     const double wim = s.ar * sim + s.ai * sre + s.br * vim + s.bi * vre +
@@ -197,28 +208,128 @@ inline void finish_row(W wt, const ScalarsRI& s,
   }
 }
 
-/// Pass-local accumulator storage: registers (via stack arrays) for fixed
-/// lane counts, caller-provided heap scratch for runtime lane counts.
+// ---------------------------------------------------------------------------
+// One output row's accumulators and the lane multiply-accumulate that every
+// pass runs per stored entry (DESIGN.md §5m): acc += m * vr over the pass
+// lanes, where vr is a row of v.  Two bodies, the same arithmetic per lane:
+//
+//  * widths of 8 lanes and more keep the accumulators in registers as
+//    interleaved (re, im) lane vectors, the layout v and w already use, and
+//    form each product as m_re*x + (+-m_im)*swap(x).  Per lane that is
+//    exactly the split loop's contracted fmsub / fmadd: the +-1 sign and
+//    the swap are exact, and the m_re product is the one contracted into
+//    the add in both bodies, so every bit agrees with a width-1 sweep;
+//  * narrower and runtime widths keep split re/im arrays (stack for fixed
+//    widths, caller-provided heap scratch for runtime widths).
+
+/// Eight doubles: four interleaved (re, im) lanes.
+typedef double lane8 __attribute__((vector_size(64)));
+
 template <class W>
-struct PassAccumulators {
-  std::array<double, W::fixed ? 2 * W::compile_width : 1> stack{};
-  double* re;
-  double* im;
-  PassAccumulators(W wt, double* heap) noexcept {
+inline constexpr bool kWideLanes = W::fixed && W::compile_width >= 8;
+
+template <class W, bool Wide = kWideLanes<W>>
+class RowAcc {
+ public:
+  RowAcc(W wt, double* heap) noexcept : wt_(wt) {
     if constexpr (W::fixed) {
-      re = stack.data();
-      im = stack.data() + W::compile_width;
+      re_ = stack_.data();
+      im_ = stack_.data() + W::compile_width;
       (void)heap;
     } else {
-      re = heap;
-      im = heap + wt.get();
+      re_ = heap;
+      im_ = heap + wt.get();
     }
   }
+
+  void zero() noexcept {
+    const int lanes = wt_.get();
+#pragma omp simd
+    for (int r = 0; r < lanes; ++r) {
+      re_[r] = 0.0;
+      im_[r] = 0.0;
+    }
+  }
+
+  void mac(double mre, double mim, const double* __restrict__ vr) noexcept {
+    const int lanes = wt_.get();
+    double* __restrict__ acc_re = re_;
+    double* __restrict__ acc_im = im_;
+#pragma omp simd
+    for (int r = 0; r < lanes; ++r) {
+      acc_re[r] += mre * vr[2 * r] - mim * vr[2 * r + 1];
+      acc_im[r] += mre * vr[2 * r + 1] + mim * vr[2 * r];
+    }
+  }
+
+  template <bool WithDots>
+  void finish(const ScalarsRI& s, const double* vi, double* wi, double* lvv,
+              double* lwr, double* lwi) const noexcept {
+    finish_row<W, WithDots, 1>(wt_, s, re_, im_, vi, wi, lvv, lwr, lwi);
+  }
+
+ private:
+  W wt_;
+  std::array<double, W::fixed ? 2 * W::compile_width : 1> stack_{};
+  double* re_;
+  double* im_;
 };
+
+template <class W>
+class RowAcc<W, true> {
+  static constexpr int kLanes = W::compile_width;
+  static constexpr int kVecs = 2 * kLanes / 8;
+
+ public:
+  RowAcc(W wt, double* /*heap*/) noexcept : wt_(wt) {}
+
+  void zero() noexcept {
+#pragma GCC unroll 16
+    for (int j = 0; j < kVecs; ++j) av_[j] = lane8{};
+  }
+
+  void mac(double mre, double mim, const double* __restrict__ vr) noexcept {
+    const lane8 sign = {-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0};
+    const lane8 smim = sign * mim;
+#pragma GCC unroll 16
+    for (int j = 0; j < kVecs; ++j) {
+      lane8 x;
+      __builtin_memcpy(&x, vr + 8 * j, sizeof x);
+      const lane8 xs = __builtin_shufflevector(x, x, 1, 0, 3, 2, 5, 4, 7, 6);
+      av_[j] += mre * x + smim * xs;
+    }
+  }
+
+  template <bool WithDots>
+  void finish(const ScalarsRI& s, const double* vi, double* wi, double* lvv,
+              double* lwr, double* lwi) const noexcept {
+    alignas(64) double acc[2 * kLanes];
+    __builtin_memcpy(acc, av_, sizeof acc);
+    finish_row<W, WithDots, 2>(wt_, s, acc, acc + 1, vi, wi, lvv, lwr, lwi);
+  }
+
+ private:
+  W wt_;
+  lane8 av_[kVecs]{};
+};
+
+/// How many nonzeros ahead the wide CRS body prefetches the |v> row it will
+/// gather (DESIGN.md §5m: 4, 8, 16 and 24 measured 1.07, 1.11, 1.23 and
+/// 1.20x at width 32).
+constexpr global_index kPrefetchAhead = 16;
+
+/// Prefetches the 2N doubles (N/4 cache lines) of one v row.
+template <int N>
+inline void prefetch_row(const double* vr) noexcept {
+#pragma GCC unroll 16
+  for (int j = 0; j < 2 * N; j += 8) __builtin_prefetch(vr + j);
+}
 
 // The CRS row loop over [row_begin, row_end), all `wt` lanes of each row in
 // one pass.  Rows are this thread's only — no worksharing construct, the
-// caller did the static split.
+// caller did the static split.  The wide body prefetches the v row of the
+// entry kPrefetchAhead positions on, clamped to the pass's last entry so
+// no index outside the pass is read.
 template <class W, bool WithDots>
 void crs_pass(const CrsMatrix& a, const ScalarsRI& s,
               const double* __restrict__ vd, double* __restrict__ wd,
@@ -229,28 +340,22 @@ void crs_pass(const CrsMatrix& a, const ScalarsRI& s,
   const auto* __restrict__ row_ptr = a.row_ptr().data();
   const auto* __restrict__ col = a.col_idx().data();
   const double* __restrict__ vald = re_im(a.values().data());
-  PassAccumulators<W> acc(wt, acc_scratch);
-  double* __restrict__ acc_re = acc.re;
-  double* __restrict__ acc_im = acc.im;
+  const global_index last = row_ptr[row_end] - 1;
+  RowAcc<W> acc(wt, acc_scratch);
   for (global_index i = row_begin; i < row_end; ++i) {
-#pragma omp simd
-    for (int r = 0; r < lanes; ++r) {
-      acc_re[r] = 0.0;
-      acc_im[r] = 0.0;
-    }
+    acc.zero();
     for (global_index k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const double mre = vald[2 * k], mim = vald[2 * k + 1];
-      const double* __restrict__ vr =
-          vd + 2 * static_cast<std::size_t>(col[k]) * lanes;
-#pragma omp simd
-      for (int r = 0; r < lanes; ++r) {
-        acc_re[r] += mre * vr[2 * r] - mim * vr[2 * r + 1];
-        acc_im[r] += mre * vr[2 * r + 1] + mim * vr[2 * r];
+      if constexpr (kWideLanes<W>) {
+        const global_index kp = std::min(k + kPrefetchAhead, last);
+        prefetch_row<W::compile_width>(
+            vd + 2 * static_cast<std::size_t>(col[kp]) * lanes);
       }
+      acc.mac(vald[2 * k], vald[2 * k + 1],
+              vd + 2 * static_cast<std::size_t>(col[k]) * lanes);
     }
     const std::size_t base = static_cast<std::size_t>(i) * lanes;
-    finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * base,
-                            wd + 2 * base, lvv, lwr, lwi);
+    acc.template finish<WithDots>(s, vd + 2 * base, wd + 2 * base, lvv, lwr,
+                                  lwi);
   }
 }
 
@@ -268,35 +373,23 @@ void sell_pass(const SellMatrix& a, const ScalarsRI& s,
   const auto* __restrict__ clen = a.chunk_len().data();
   const auto* __restrict__ col = a.col_idx().data();
   const double* __restrict__ vald = re_im(a.values().data());
-  PassAccumulators<W> acc(wt, acc_scratch);
-  double* __restrict__ acc_re = acc.re;
-  double* __restrict__ acc_im = acc.im;
+  RowAcc<W> acc(wt, acc_scratch);
   for (global_index c = chunk_begin; c < chunk_end; ++c) {
     const global_index base = cptr[c];
     const int rows_in_chunk =
         static_cast<int>(std::min<global_index>(chunk, nrows - c * chunk));
     for (int lane = 0; lane < rows_in_chunk; ++lane) {
       const global_index i = c * chunk + lane;
-#pragma omp simd
-      for (int r = 0; r < lanes; ++r) {
-        acc_re[r] = 0.0;
-        acc_im[r] = 0.0;
-      }
+      acc.zero();
       for (local_index j = 0; j < clen[c]; ++j) {
         const global_index moff =
             base + static_cast<global_index>(j) * chunk + lane;
-        const double mre = vald[2 * moff], mim = vald[2 * moff + 1];
-        const double* __restrict__ vr =
-            vd + 2 * static_cast<std::size_t>(col[moff]) * lanes;
-#pragma omp simd
-        for (int r = 0; r < lanes; ++r) {
-          acc_re[r] += mre * vr[2 * r] - mim * vr[2 * r + 1];
-          acc_im[r] += mre * vr[2 * r + 1] + mim * vr[2 * r];
-        }
+        acc.mac(vald[2 * moff], vald[2 * moff + 1],
+                vd + 2 * static_cast<std::size_t>(col[moff]) * lanes);
       }
       const std::size_t wbase = static_cast<std::size_t>(i) * lanes;
-      finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * wbase,
-                              wd + 2 * wbase, lvv, lwr, lwi);
+      acc.template finish<WithDots>(s, vd + 2 * wbase, wd + 2 * wbase, lvv,
+                                    lwr, lwi);
     }
   }
 }
@@ -320,8 +413,8 @@ const VT* block_values(const Matrix& a) noexcept {
 
 /// One output row's share of a b x b block multiply-accumulate:
 /// acc += blk(ib, jb) * v(bc*B + jb) over the pass lanes, for every jb with
-/// entry (ib, jb) nonzero.  Identical expression tree for every W, so the
-/// fixed/generic parity contract extends to the block formats.
+/// entry (ib, jb) nonzero, through the same RowAcc::mac as the scalar
+/// formats, so the per-lane contract extends to the block formats.
 ///
 /// Entries that are exactly zero — the explicit fill of a half-dense block
 /// (1 - beta of the stored values) and the SELL-block chunk padding — must
@@ -335,27 +428,19 @@ const VT* block_values(const Matrix& a) noexcept {
 /// ascending jb, so per output row the multiply-accumulate order is the
 /// scalar-CRS column order and the results stay bitwise identical.
 template <int B, class VT, class W>
-inline void block_mac_row(W wt, const VT* __restrict__ blk,
-                          std::uint16_t mask, int ib,
-                          const double* __restrict__ vd, std::size_t vrow0,
-                          double* __restrict__ acc_re,
-                          double* __restrict__ acc_im) {
-  const int lanes = wt.get();
+inline void block_mac_row(RowAcc<W>& acc, int lanes,
+                          const VT* __restrict__ blk, std::uint16_t mask,
+                          int ib, const double* __restrict__ vd,
+                          std::size_t vrow0) {
   constexpr std::uint16_t row_bits =
       B == 4 ? 0x1111 : (B == 2 ? 0x5 : 0x1);  // bits jb*B
   std::uint16_t m = static_cast<std::uint16_t>((mask >> ib) & row_bits);
   while (m != 0) {
     const int jb = std::countr_zero(m) / B;
     m = static_cast<std::uint16_t>(m & (m - 1));
-    const double mre = static_cast<double>(blk[2 * (jb * B + ib)]);
-    const double mim = static_cast<double>(blk[2 * (jb * B + ib) + 1]);
-    const double* __restrict__ vr =
-        vd + 2 * (vrow0 + static_cast<std::size_t>(jb)) * lanes;
-#pragma omp simd
-    for (int r = 0; r < lanes; ++r) {
-      acc_re[r] += mre * vr[2 * r] - mim * vr[2 * r + 1];
-      acc_im[r] += mre * vr[2 * r + 1] + mim * vr[2 * r];
-    }
+    acc.mac(static_cast<double>(blk[2 * (jb * B + ib)]),
+            static_cast<double>(blk[2 * (jb * B + ib) + 1]),
+            vd + 2 * (vrow0 + static_cast<std::size_t>(jb)) * lanes);
   }
 }
 
@@ -364,27 +449,19 @@ inline void block_mac_row(W wt, const VT* __restrict__ blk,
 /// the assembled diagonal value, so the stencil's bitwise contract holds.
 /// Stencil coefficient blocks are complex_t (split re/im via re_im()).
 template <int B, class W>
-inline void onsite_mac_row(W wt, const double* __restrict__ blk,
-                           std::uint16_t mask, int ib, double d,
-                           const double* __restrict__ vd, std::size_t vrow0,
-                           double* __restrict__ acc_re,
-                           double* __restrict__ acc_im) {
-  const int lanes = wt.get();
+inline void onsite_mac_row(RowAcc<W>& acc, int lanes,
+                           const double* __restrict__ blk, std::uint16_t mask,
+                           int ib, double d, const double* __restrict__ vd,
+                           std::size_t vrow0) {
   constexpr std::uint16_t row_bits = B == 4 ? 0x1111 : (B == 2 ? 0x5 : 0x1);
   std::uint16_t m = static_cast<std::uint16_t>((mask >> ib) & row_bits);
   while (m != 0) {
     const int jb = std::countr_zero(m) / B;
     m = static_cast<std::uint16_t>(m & (m - 1));
     double mre = blk[2 * (jb * B + ib)];
-    const double mim = blk[2 * (jb * B + ib) + 1];
     if (jb == ib) mre += d;
-    const double* __restrict__ vr =
-        vd + 2 * (vrow0 + static_cast<std::size_t>(jb)) * lanes;
-#pragma omp simd
-    for (int r = 0; r < lanes; ++r) {
-      acc_re[r] += mre * vr[2 * r] - mim * vr[2 * r + 1];
-      acc_im[r] += mre * vr[2 * r + 1] + mim * vr[2 * r];
-    }
+    acc.mac(mre, blk[2 * (jb * B + ib) + 1],
+            vd + 2 * (vrow0 + static_cast<std::size_t>(jb)) * lanes);
   }
 }
 
@@ -413,19 +490,13 @@ void bsr_pass(const BsrMatrix& a, const ScalarsRI& s,
   const auto* __restrict__ delta = D16 ? a.col_delta16().data() : nullptr;
   const auto* __restrict__ bmask = a.block_mask().data();
   const VT* __restrict__ vald = block_values<VT>(a);
-  PassAccumulators<W> acc(wt, acc_scratch);
-  double* __restrict__ acc_re = acc.re;
-  double* __restrict__ acc_im = acc.im;
+  RowAcc<W> acc(wt, acc_scratch);
   for (global_index i = row_begin; i < row_end; ++i) {
     const global_index br = i / B;
     const int ib = static_cast<int>(i % B);
     const global_index klo = bptr[br];
     const global_index khi = bptr[br + 1];
-#pragma omp simd
-    for (int r = 0; r < lanes; ++r) {
-      acc_re[r] = 0.0;
-      acc_im[r] = 0.0;
-    }
+    acc.zero();
     local_index bc = D16 ? first[br] : 0;
     for (global_index k = klo; k < khi; ++k) {
       if constexpr (D16) {
@@ -435,12 +506,12 @@ void bsr_pass(const BsrMatrix& a, const ScalarsRI& s,
       }
       const VT* __restrict__ blk =
           vald + 2 * static_cast<std::size_t>(k) * B * B;
-      block_mac_row<B, VT>(wt, blk, bmask[k], ib, vd,
-                           static_cast<std::size_t>(bc) * B, acc_re, acc_im);
+      block_mac_row<B, VT>(acc, lanes, blk, bmask[k], ib, vd,
+                           static_cast<std::size_t>(bc) * B);
     }
     const std::size_t base = static_cast<std::size_t>(i) * lanes;
-    finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * base,
-                            wd + 2 * base, lvv, lwr, lwi);
+    acc.template finish<WithDots>(s, vd + 2 * base, wd + 2 * base, lvv, lwr,
+                                  lwi);
   }
 }
 
@@ -467,9 +538,7 @@ void stencil_pass(const StencilOperator& a, const ScalarsRI& s,
   const auto* __restrict__ bptr = a.boundary_ptr().data();
   const auto* __restrict__ bcol = a.boundary_col().data();
   const double* __restrict__ bval = re_im(a.boundary_val().data());
-  PassAccumulators<W> acc(wt, acc_scratch);
-  double* __restrict__ acc_re = acc.re;
-  double* __restrict__ acc_im = acc.im;
+  RowAcc<W> acc(wt, acc_scratch);
   for (const StencilOperator::Segment& seg : a.segments()) {
     const global_index lo = std::max(seg.begin, row_begin);
     const global_index hi = std::min(seg.end, row_end);
@@ -477,11 +546,7 @@ void stencil_pass(const StencilOperator& a, const ScalarsRI& s,
     if (seg.interior) {
       for (global_index i = lo; i < hi; ++i) {
         const int ib = static_cast<int>((i + phase) % B);
-#pragma omp simd
-        for (int r = 0; r < lanes; ++r) {
-          acc_re[r] = 0.0;
-          acc_im[r] = 0.0;
-        }
+        acc.zero();
         for (int t = 0; t < nterms; ++t) {
           const StencilOperator::Term& tm = terms[static_cast<std::size_t>(t)];
           // First row of the neighbour's block in local indices; interior
@@ -490,39 +555,29 @@ void stencil_pass(const StencilOperator& a, const ScalarsRI& s,
               static_cast<std::size_t>(i - ib + B * tm.delta);
           if constexpr (Diag) {
             if (t == onsite) {
-              onsite_mac_row<B>(wt, re_im(tm.coeff.data()), tm.mask, ib,
-                                dg[i], vd, vrow0, acc_re, acc_im);
+              onsite_mac_row<B>(acc, lanes, re_im(tm.coeff.data()),
+                                tm.mask, ib, dg[i], vd, vrow0);
               continue;
             }
           }
-          block_mac_row<B, double>(wt, re_im(tm.coeff.data()), tm.mask, ib,
-                                   vd, vrow0, acc_re, acc_im);
+          block_mac_row<B, double>(acc, lanes, re_im(tm.coeff.data()),
+                                   tm.mask, ib, vd, vrow0);
         }
         const std::size_t base = static_cast<std::size_t>(i) * lanes;
-        finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * base,
-                                wd + 2 * base, lvv, lwr, lwi);
+        acc.template finish<WithDots>(s, vd + 2 * base, wd + 2 * base, lvv,
+                                      lwr, lwi);
       }
     } else {
       for (global_index i = lo; i < hi; ++i) {
         const global_index q = seg.bnd_row0 + (i - seg.begin);
-#pragma omp simd
-        for (int r = 0; r < lanes; ++r) {
-          acc_re[r] = 0.0;
-          acc_im[r] = 0.0;
-        }
+        acc.zero();
         for (global_index k = bptr[q]; k < bptr[q + 1]; ++k) {
-          const double mre = bval[2 * k], mim = bval[2 * k + 1];
-          const double* __restrict__ vr =
-              vd + 2 * static_cast<std::size_t>(bcol[k]) * lanes;
-#pragma omp simd
-          for (int r = 0; r < lanes; ++r) {
-            acc_re[r] += mre * vr[2 * r] - mim * vr[2 * r + 1];
-            acc_im[r] += mre * vr[2 * r + 1] + mim * vr[2 * r];
-          }
+          acc.mac(bval[2 * k], bval[2 * k + 1],
+                  vd + 2 * static_cast<std::size_t>(bcol[k]) * lanes);
         }
         const std::size_t base = static_cast<std::size_t>(i) * lanes;
-        finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * base,
-                                wd + 2 * base, lvv, lwr, lwi);
+        acc.template finish<WithDots>(s, vd + 2 * base, wd + 2 * base, lvv,
+                                      lwr, lwi);
       }
     }
   }
@@ -548,9 +603,7 @@ void sell_block_pass(const SellBlockMatrix& a, const ScalarsRI& s,
   const auto* __restrict__ delta = D16 ? a.col_delta16().data() : nullptr;
   const auto* __restrict__ bmask = a.block_mask().data();
   const VT* __restrict__ vald = block_values<VT>(a);
-  PassAccumulators<W> acc(wt, acc_scratch);
-  double* __restrict__ acc_re = acc.re;
-  double* __restrict__ acc_im = acc.im;
+  RowAcc<W> acc(wt, acc_scratch);
   for (global_index c = chunk_begin; c < chunk_end; ++c) {
     const global_index base = cptr[c];
     const int rows_in_chunk =
@@ -558,11 +611,7 @@ void sell_block_pass(const SellBlockMatrix& a, const ScalarsRI& s,
     for (int lane = 0; lane < rows_in_chunk; ++lane) {
       const global_index br = c * chunk + lane;
       for (int ib = 0; ib < B; ++ib) {
-#pragma omp simd
-        for (int r = 0; r < lanes; ++r) {
-          acc_re[r] = 0.0;
-          acc_im[r] = 0.0;
-        }
+        acc.zero();
         local_index bc = D16 ? first[br] : 0;
         for (local_index j = 0; j < clen[c]; ++j) {
           const global_index moff =
@@ -574,14 +623,13 @@ void sell_block_pass(const SellBlockMatrix& a, const ScalarsRI& s,
           }
           const VT* __restrict__ blk =
               vald + 2 * static_cast<std::size_t>(moff) * B * B;
-          block_mac_row<B, VT>(wt, blk, bmask[moff], ib, vd,
-                               static_cast<std::size_t>(bc) * B, acc_re,
-                               acc_im);
+          block_mac_row<B, VT>(acc, lanes, blk, bmask[moff], ib, vd,
+                               static_cast<std::size_t>(bc) * B);
         }
         const std::size_t base_w =
             (static_cast<std::size_t>(br) * B + ib) * lanes;
-        finish_row<W, WithDots>(wt, s, acc_re, acc_im, vd + 2 * base_w,
-                                wd + 2 * base_w, lvv, lwr, lwi);
+        acc.template finish<WithDots>(s, vd + 2 * base_w, wd + 2 * base_w,
+                                      lvv, lwr, lwi);
       }
     }
   }
@@ -717,17 +765,6 @@ void aug_spmmv_crs_core_runs(const CrsMatrix& a, const AugScalars& scal,
         crs_pass<decltype(wt), WithDots>(a, s, vd, wd, b, e, wt, lvv, lwr,
                                          lwi, acc);
       });
-}
-
-template <bool WithDots>
-void aug_spmmv_crs_core(const CrsMatrix& a, const AugScalars& scal,
-                        const complex_t* v, complex_t* w, int width,
-                        global_index row_begin, global_index row_end,
-                        complex_t* dot_vv, complex_t* dot_wv) {
-  const IndexRange<global_index> seg{row_begin, row_end};
-  aug_spmmv_crs_core_runs<WithDots>(
-      a, scal, v, w, width,
-      std::span<const IndexRange<global_index>>(&seg, 1), dot_vv, dot_wv);
 }
 
 template <bool WithDots>
@@ -964,33 +1001,16 @@ void aug_spmmv(const CrsMatrix& a, const AugScalars& s,
                std::span<complex_t> dot_vv, std::span<complex_t> dot_wv) {
   check_block(a.nrows(), a.ncols(), v, w, dot_vv, dot_wv);
   const int width = v.width();
+  const IndexRange<global_index> all{0, a.nrows()};
+  const std::span<const IndexRange<global_index>> runs(&all, 1);
   if (dot_vv.empty()) {
-    aug_spmmv_crs_core<false>(a, s, v.data(), w.data(), width, 0, a.nrows(),
-                              nullptr, nullptr);
+    aug_spmmv_crs_core_runs<false>(a, s, v.data(), w.data(), width, runs,
+                                   nullptr, nullptr);
   } else {
     std::fill(dot_vv.begin(), dot_vv.end(), complex_t{});
     std::fill(dot_wv.begin(), dot_wv.end(), complex_t{});
-    aug_spmmv_crs_core<true>(a, s, v.data(), w.data(), width, 0, a.nrows(),
-                             dot_vv.data(), dot_wv.data());
-  }
-}
-
-void aug_spmmv_rows(const CrsMatrix& a, const AugScalars& s,
-                    const blas::BlockVector& v, blas::BlockVector& w,
-                    global_index row_begin, global_index row_end,
-                    std::span<complex_t> dot_vv, std::span<complex_t> dot_wv) {
-  check_block(a.nrows(), a.ncols(), v, w, dot_vv, dot_wv);
-  require(row_begin >= 0 && row_begin <= row_end && row_end <= a.nrows(),
-          "aug_spmmv_rows: invalid row interval");
-  const int width = v.width();
-  if (dot_vv.empty()) {
-    aug_spmmv_crs_core<false>(a, s, v.data(), w.data(), width, row_begin,
-                              row_end, nullptr, nullptr);
-  } else {
-    // Accumulate-only contract (see header): caller zeroes before the first
-    // partial call of a sweep, so split interior/boundary sweeps compose.
-    aug_spmmv_crs_core<true>(a, s, v.data(), w.data(), width, row_begin,
-                             row_end, dot_vv.data(), dot_wv.data());
+    aug_spmmv_crs_core_runs<true>(a, s, v.data(), w.data(), width, runs,
+                                  dot_vv.data(), dot_wv.data());
   }
 }
 
@@ -999,18 +1019,14 @@ void aug_spmmv_runs(const CrsMatrix& a, const AugScalars& s,
                     std::span<const IndexRange<global_index>> runs,
                     std::span<complex_t> dot_vv, std::span<complex_t> dot_wv) {
   check_block(a.nrows(), a.ncols(), v, w, dot_vv, dot_wv);
-  global_index prev = 0;
-  for (const auto& r : runs) {
-    require(r.begin >= prev && r.begin <= r.end && r.end <= a.nrows(),
-            "aug_spmmv_runs: runs must be ascending, disjoint and in bounds");
-    prev = r.end;
-  }
+  check_runs(runs, a.nrows());
   const int width = v.width();
   if (dot_vv.empty()) {
     aug_spmmv_crs_core_runs<false>(a, s, v.data(), w.data(), width, runs,
                                    nullptr, nullptr);
   } else {
-    // Accumulate-only contract, like aug_spmmv_rows.
+    // Accumulate-only contract (see header): the caller zeroes the dots
+    // before the first partial call of a sweep, so split sweeps compose.
     aug_spmmv_crs_core_runs<true>(a, s, v.data(), w.data(), width, runs,
                                   dot_vv.data(), dot_wv.data());
   }
@@ -1050,37 +1066,12 @@ void aug_spmmv(const BsrMatrix& a, const AugScalars& s,
   }
 }
 
-void aug_spmmv_rows(const BsrMatrix& a, const AugScalars& s,
-                    const blas::BlockVector& v, blas::BlockVector& w,
-                    global_index row_begin, global_index row_end,
-                    std::span<complex_t> dot_vv, std::span<complex_t> dot_wv) {
-  check_block(a.nrows(), a.ncols(), v, w, dot_vv, dot_wv);
-  require(row_begin >= 0 && row_begin <= row_end && row_end <= a.nrows(),
-          "aug_spmmv_rows: invalid row interval");
-  const int width = v.width();
-  const IndexRange<global_index> seg{row_begin, row_end};
-  const std::span<const IndexRange<global_index>> runs(&seg, 1);
-  if (dot_vv.empty()) {
-    aug_spmmv_bsr_core_runs<false>(a, s, v.data(), w.data(), width, runs,
-                                   nullptr, nullptr);
-  } else {
-    // Accumulate-only contract, like the CRS row-interval kernel.
-    aug_spmmv_bsr_core_runs<true>(a, s, v.data(), w.data(), width, runs,
-                                  dot_vv.data(), dot_wv.data());
-  }
-}
-
 void aug_spmmv_runs(const BsrMatrix& a, const AugScalars& s,
                     const blas::BlockVector& v, blas::BlockVector& w,
                     std::span<const IndexRange<global_index>> runs,
                     std::span<complex_t> dot_vv, std::span<complex_t> dot_wv) {
   check_block(a.nrows(), a.ncols(), v, w, dot_vv, dot_wv);
-  global_index prev = 0;
-  for (const auto& r : runs) {
-    require(r.begin >= prev && r.begin <= r.end && r.end <= a.nrows(),
-            "aug_spmmv_runs: runs must be ascending, disjoint and in bounds");
-    prev = r.end;
-  }
+  check_runs(runs, a.nrows());
   const int width = v.width();
   if (dot_vv.empty()) {
     aug_spmmv_bsr_core_runs<false>(a, s, v.data(), w.data(), width, runs,
@@ -1126,37 +1117,12 @@ void aug_spmmv(const StencilOperator& a, const AugScalars& s,
   }
 }
 
-void aug_spmmv_rows(const StencilOperator& a, const AugScalars& s,
-                    const blas::BlockVector& v, blas::BlockVector& w,
-                    global_index row_begin, global_index row_end,
-                    std::span<complex_t> dot_vv, std::span<complex_t> dot_wv) {
-  check_block(a.nrows(), a.ncols(), v, w, dot_vv, dot_wv);
-  require(row_begin >= 0 && row_begin <= row_end && row_end <= a.nrows(),
-          "aug_spmmv_rows: invalid row interval");
-  const int width = v.width();
-  const IndexRange<global_index> seg{row_begin, row_end};
-  const std::span<const IndexRange<global_index>> runs(&seg, 1);
-  if (dot_vv.empty()) {
-    aug_spmmv_stencil_core_runs<false>(a, s, v.data(), w.data(), width, runs,
-                                       nullptr, nullptr);
-  } else {
-    // Accumulate-only contract, like the CRS row-interval kernel.
-    aug_spmmv_stencil_core_runs<true>(a, s, v.data(), w.data(), width, runs,
-                                      dot_vv.data(), dot_wv.data());
-  }
-}
-
 void aug_spmmv_runs(const StencilOperator& a, const AugScalars& s,
                     const blas::BlockVector& v, blas::BlockVector& w,
                     std::span<const IndexRange<global_index>> runs,
                     std::span<complex_t> dot_vv, std::span<complex_t> dot_wv) {
   check_block(a.nrows(), a.ncols(), v, w, dot_vv, dot_wv);
-  global_index prev = 0;
-  for (const auto& r : runs) {
-    require(r.begin >= prev && r.begin <= r.end && r.end <= a.nrows(),
-            "aug_spmmv_runs: runs must be ascending, disjoint and in bounds");
-    prev = r.end;
-  }
+  check_runs(runs, a.nrows());
   const int width = v.width();
   if (dot_vv.empty()) {
     aug_spmmv_stencil_core_runs<false>(a, s, v.data(), w.data(), width, runs,

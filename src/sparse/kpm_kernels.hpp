@@ -84,7 +84,7 @@ void aug_spmv(const SellMatrix& a, const AugScalars& s,
 
 // Dot-output contract of the block kernels: the full-sweep aug_spmmv()
 // overloads OVERWRITE `dot_vv`/`dot_wv` (they are zero-filled before the
-// sweep), whereas the partial-sweep aug_spmmv_rows() ACCUMULATES into them
+// sweep), whereas the partial-sweep aug_spmmv_runs() ACCUMULATES into them
 // so that the split interior/boundary calls of an overlapped halo exchange
 // compose — zero the spans before the first partial call of a sweep.  The
 // dot spans must not alias the v/w storage (checked).
@@ -102,24 +102,14 @@ void aug_spmmv(const SellMatrix& a, const AugScalars& s,
                const blas::BlockVector& v, blas::BlockVector& w,
                std::span<complex_t> dot_vv, std::span<complex_t> dot_wv);
 
-/// Row-interval variant of the CRS blocked kernel, for overlapping the
-/// halo exchange with interior computation: processes rows
-/// [row_begin, row_end) only and *adds* its dot contributions to the
-/// accumulators (zero them before the first partial call of a sweep).
-/// Routed through the same width-dispatch layer as the full sweeps.
-void aug_spmmv_rows(const CrsMatrix& a, const AugScalars& s,
-                    const blas::BlockVector& v, blas::BlockVector& w,
-                    global_index row_begin, global_index row_end,
-                    std::span<complex_t> dot_vv, std::span<complex_t> dot_wv);
-
 /// Run-list variant of the CRS blocked kernel: processes the union of the
 /// given row intervals, which must be ascending, pairwise disjoint and in
-/// bounds.  Threads split the concatenated position space with the same
-/// static partition as the contiguous sweeps, so a single-run call is
-/// bitwise identical to aug_spmmv_rows over that interval.  Same accumulate
-/// contract as aug_spmmv_rows.  This is how the overlapped halo exchange
-/// sweeps *all* halo-free rows — scattered or not — while messages are in
-/// flight (DESIGN.md §5d).
+/// bounds, and *adds* its dot contributions to the accumulators (zero them
+/// before the first partial call of a sweep).  Threads split the
+/// concatenated position space with the same static partition as the full
+/// sweep, so the one-run list {0, nrows} is aug_spmmv() bit for bit.  This is
+/// how the overlapped halo exchange sweeps *all* halo-free rows — scattered
+/// or not — while messages are in flight (DESIGN.md §5d).
 void aug_spmmv_runs(const CrsMatrix& a, const AugScalars& s,
                     const blas::BlockVector& v, blas::BlockVector& w,
                     std::span<const IndexRange<global_index>> runs,
@@ -140,18 +130,11 @@ void aug_spmmv(const BsrMatrix& a, const AugScalars& s,
                const blas::BlockVector& v, blas::BlockVector& w,
                std::span<complex_t> dot_vv, std::span<complex_t> dot_wv);
 
-/// Row-interval variant of the BSR kernel (accumulate contract, see
-/// aug_spmmv_rows above).  Bounds are scalar rows and need not align to
-/// block_dim(): threads split the scalar row space with the same static
-/// partition as the CRS kernels, so BSR moments are bitwise identical to
-/// the CRS moments at any thread count and partition.
-void aug_spmmv_rows(const BsrMatrix& a, const AugScalars& s,
-                    const blas::BlockVector& v, blas::BlockVector& w,
-                    global_index row_begin, global_index row_end,
-                    std::span<complex_t> dot_vv, std::span<complex_t> dot_wv);
-
-/// Run-list variant of the BSR kernel over scalar-row runs.  Same
-/// accumulate contract as the CRS run-list kernel.
+/// Run-list variant of the BSR kernel over scalar-row runs (accumulate
+/// contract, see the CRS run-list kernel).  Bounds are scalar rows and need
+/// not align to block_dim(): threads split the scalar row space with the
+/// same static partition as the CRS kernels, so BSR moments are bitwise
+/// identical to the CRS moments at any thread count and partition.
 void aug_spmmv_runs(const BsrMatrix& a, const AugScalars& s,
                     const blas::BlockVector& v, blas::BlockVector& w,
                     std::span<const IndexRange<global_index>> runs,
@@ -176,12 +159,6 @@ void aug_spmmv(const SellBlockMatrix& a, const AugScalars& s,
 void aug_spmmv(const StencilOperator& a, const AugScalars& s,
                const blas::BlockVector& v, blas::BlockVector& w,
                std::span<complex_t> dot_vv, std::span<complex_t> dot_wv);
-
-/// Row-interval variant (accumulate contract, see aug_spmmv_rows above).
-void aug_spmmv_rows(const StencilOperator& a, const AugScalars& s,
-                    const blas::BlockVector& v, blas::BlockVector& w,
-                    global_index row_begin, global_index row_end,
-                    std::span<complex_t> dot_vv, std::span<complex_t> dot_wv);
 
 /// Run-list variant (accumulate contract): how the overlapped halo exchange
 /// sweeps a localized stencil's interior while messages are in flight.

@@ -5,6 +5,7 @@
 // documented error bound on the TI / graphene DOS.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -227,6 +228,12 @@ TEST(BlockFormats, SellBlockKernelMatchesCrsThroughPermutation) {
   }
 }
 
+/// The one-run list [begin, end): a partial sweep over one row interval.
+std::array<IndexRange<global_index>, 1> one_run(global_index begin,
+                                                global_index end) {
+  return {{{begin, end}}};
+}
+
 TEST(BlockFormats, BsrRowsAndRunsComposeToFullSweep) {
   const sparse::BsrMatrix bsr(ti_matrix(), 4);
   const int width = 8;
@@ -234,14 +241,15 @@ TEST(BlockFormats, BsrRowsAndRunsComposeToFullSweep) {
 
   const auto v = block(bsr.ncols(), width, 0.0);
   const auto rec = sparse::AugScalars::recurrence(0.3, -0.05);
-  // Block-aligned split via aug_spmmv_rows.
+  // Block-aligned split as two one-run calls.
   SweepOutput split{block(bsr.nrows(), width, 0.5),
                     std::vector<complex_t>(width),
                     std::vector<complex_t>(width)};
   const global_index cut = (bsr.nrows() / 2 / 4) * 4;
-  sparse::aug_spmmv_rows(bsr, rec, v, split.w, 0, cut, split.dvv, split.dwv);
-  sparse::aug_spmmv_rows(bsr, rec, v, split.w, cut, bsr.nrows(), split.dvv,
+  sparse::aug_spmmv_runs(bsr, rec, v, split.w, one_run(0, cut), split.dvv,
                          split.dwv);
+  sparse::aug_spmmv_runs(bsr, rec, v, split.w, one_run(cut, bsr.nrows()),
+                         split.dvv, split.dwv);
   EXPECT_EQ(std::memcmp(full.w.data(), split.w.data(),
                         full.w.size() * sizeof(complex_t)),
             0);
@@ -262,9 +270,10 @@ TEST(BlockFormats, BsrRowsAndRunsComposeToFullSweep) {
   // (block row, intra-block row) per scalar row).
   SweepOutput mid{block(bsr.nrows(), width, 0.5),
                   std::vector<complex_t>(width), std::vector<complex_t>(width)};
-  sparse::aug_spmmv_rows(bsr, rec, v, mid.w, 0, cut + 2, mid.dvv, mid.dwv);
-  sparse::aug_spmmv_rows(bsr, rec, v, mid.w, cut + 2, bsr.nrows(), mid.dvv,
+  sparse::aug_spmmv_runs(bsr, rec, v, mid.w, one_run(0, cut + 2), mid.dvv,
                          mid.dwv);
+  sparse::aug_spmmv_runs(bsr, rec, v, mid.w, one_run(cut + 2, bsr.nrows()),
+                         mid.dvv, mid.dwv);
   EXPECT_EQ(std::memcmp(full.w.data(), mid.w.data(),
                         full.w.size() * sizeof(complex_t)),
             0);

@@ -16,6 +16,7 @@
 #endif
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <functional>
 #include <ostream>
@@ -120,6 +121,12 @@ bool bitwise_equal(complex_t a, complex_t b) {
   return std::memcmp(&a, &b, sizeof(complex_t)) == 0;
 }
 
+/// The one-run list [begin, end): a partial sweep over one row interval.
+std::array<IndexRange<global_index>, 1> one_run(global_index begin,
+                                                global_index end) {
+  return {{{begin, end}}};
+}
+
 // ---------------------------------------------------------------------------
 // The lane-width contract.
 
@@ -145,19 +152,20 @@ std::vector<std::vector<IndexRange<global_index>>> stripes(global_index n) {
   return lists;
 }
 
-/// Formats with aug_spmmv_rows / aug_spmmv_runs overloads (the SELL layouts
-/// sweep whole chunks and have none).
+/// Formats with an aug_spmmv_runs overload (the SELL layouts sweep whole
+/// chunks and have none).
 template <class Matrix>
 concept HasRowKernels =
     requires(const Matrix& a, const blas::BlockVector& v, blas::BlockVector& w,
+             std::span<const IndexRange<global_index>> runs,
              std::span<complex_t> d) {
-      sparse::aug_spmmv_rows(a, sparse::AugScalars{}, v, w, global_index{0},
-                             global_index{0}, d, d);
+      sparse::aug_spmmv_runs(a, sparse::AugScalars{}, v, w, runs, d, d);
     };
 
-/// One sweep w <- aug(A) v of the given shape.  The partial shapes zero the
-/// dots first and accumulate across their calls, as the distributed solvers
-/// do.
+/// One sweep w <- aug(A) v of the given shape: `rows` is three one-run
+/// calls over consecutive row intervals, `runs` two calls over interleaved
+/// stripes.  The partial shapes zero the dots first and accumulate across
+/// their calls, as the distributed solvers do.
 template <class Matrix>
 void sweep(const Matrix& a, Shape shape, const blas::BlockVector& v,
            blas::BlockVector& w, std::span<complex_t> dvv,
@@ -173,9 +181,9 @@ void sweep(const Matrix& a, Shape shape, const blas::BlockVector& v,
     const global_index n = a.nrows();
     if (shape == Shape::rows) {
       const global_index cut1 = n / 3, cut2 = 2 * n / 3;
-      sparse::aug_spmmv_rows(a, rec, v, w, 0, cut1, dvv, dwv);
-      sparse::aug_spmmv_rows(a, rec, v, w, cut1, cut2, dvv, dwv);
-      sparse::aug_spmmv_rows(a, rec, v, w, cut2, n, dvv, dwv);
+      sparse::aug_spmmv_runs(a, rec, v, w, one_run(0, cut1), dvv, dwv);
+      sparse::aug_spmmv_runs(a, rec, v, w, one_run(cut1, cut2), dvv, dwv);
+      sparse::aug_spmmv_runs(a, rec, v, w, one_run(cut2, n), dvv, dwv);
     } else {
       for (const auto& runs : stripes(n)) {
         sparse::aug_spmmv_runs(a, rec, v, w, runs, dvv, dwv);
@@ -282,6 +290,146 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
+// Edges of the wide CRS body (widths >= 8: register accumulators and the
+// v-row prefetch kPrefetchAhead = 16 entries ahead, clamped to the pass's
+// last entry).  A hand-built matrix puts every edge in reach: empty rows
+// (first, inner, runs of them), rows shorter and longer than the prefetch
+// distance, a short last row, and entries whose real or imaginary part is
+// +0.0 or -0.0.  col_idx is allocated at exactly nnz entries, a multiple of
+// 16 so the 64-byte allocation has no padding: a prefetch index read past
+// the pass's last entry is a heap overflow under AddressSanitizer.  Each
+// lane must equal its solo width-1 sweep bit for bit, for the full sweep
+// and for run lists with gaps that end at and before the last row, at 1, 2
+// and 3 threads, so the passes end at different rows.
+
+sparse::CrsMatrix edge_matrix() {
+  const global_index n = 61;
+  std::vector<global_index> len(static_cast<std::size_t>(n));
+  const int pattern[] = {0, 3, 17, 0, 0, 1, 16, 2, 31, 0, 5, 15};
+  for (global_index i = 0; i < n; ++i) {
+    len[static_cast<std::size_t>(i)] = pattern[i % 12];
+  }
+  len.back() = 3;  // the last pass ends inside the prefetch distance
+  global_index nnz = 0;
+  for (const global_index l : len) nnz += l;
+  len[8] += (16 - nnz % 16) % 16;
+  nnz += (16 - nnz % 16) % 16;
+
+  aligned_vector<global_index> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  aligned_vector<local_index> col(static_cast<std::size_t>(nnz));
+  aligned_vector<complex_t> val(static_cast<std::size_t>(nnz));
+  const complex_t parts[] = {{0.0, 0.7},  {-0.0, -1.3}, {0.9, 0.0},
+                             {-1.1, -0.0}, {-0.0, 0.0}, {0.6, -0.45},
+                             {0.0, -0.0}, {-0.35, 1.7}};
+  global_index k = 0;
+  for (global_index i = 0; i < n; ++i) {
+    for (global_index e = 0; e < len[static_cast<std::size_t>(i)]; ++e, ++k) {
+      const auto ku = static_cast<std::size_t>(k);
+      col[ku] = static_cast<local_index>((i * 7 + e * 13) % n);
+      val[ku] = parts[ku % 8];
+      if (ku % 3 == 0) val[ku] *= 1.0 + 0.01 * static_cast<double>(e);
+    }
+    row_ptr[static_cast<std::size_t>(i) + 1] = k;
+  }
+  return sparse::CrsMatrix(n, n, std::move(row_ptr), std::move(col),
+                           std::move(val));
+}
+
+/// Input entry with +-0.0 parts on some rows, a function of the lane's
+/// identity only (as entry() above).
+complex_t edge_entry(global_index i, int lane, double shift) {
+  const double re = i % 5 == 0 ? -0.0 : 1.0 / (1.0 + i + shift + 0.1 * lane);
+  const double im = i % 7 == 0 ? 0.0 : 0.25 - 0.001 * lane - shift;
+  return {re, im};
+}
+
+struct WideCase {
+  int width;
+  int threads;
+};
+
+std::string wide_name(const WideCase& c) {
+  return "w" + std::to_string(c.width) + "_t" + std::to_string(c.threads);
+}
+
+void PrintTo(const WideCase& c, std::ostream* os) { *os << wide_name(c); }
+
+class WideBody : public ::testing::TestWithParam<WideCase> {};
+
+TEST_P(WideBody, EdgeRowsMatchSoloSweepsBitwise) {
+  const WideCase c = GetParam();
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(c.threads);
+#endif
+  static const sparse::CrsMatrix a = edge_matrix();
+  const global_index n = a.nrows();
+  const std::vector<std::vector<IndexRange<global_index>>> shapes{
+      {{0, n}},                       // full range as one run
+      {{0, 7}, {12, 30}, {33, n}},    // gaps, ends at the last row
+      {{1, 2}, {9, 10}, {20, n - 4}}, // gaps, ends before the last rows
+  };
+  const auto rec = sparse::AugScalars::recurrence(0.3, -0.05);
+  const auto sweep_shape = [&](int shape, int width, int lane0,
+                               blas::BlockVector& w, std::span<complex_t> dvv,
+                               std::span<complex_t> dwv) {
+    blas::BlockVector v(n, width);
+    for (global_index i = 0; i < n; ++i) {
+      for (int r = 0; r < width; ++r) {
+        v(i, r) = edge_entry(i, lane0 + r, 0.0);
+        w(i, r) = edge_entry(i, lane0 + r, 0.5);
+      }
+    }
+    if (shape < 0) {
+      sparse::aug_spmmv(a, rec, v, w, dvv, dwv);
+      return;
+    }
+    std::fill(dvv.begin(), dvv.end(), complex_t{});
+    std::fill(dwv.begin(), dwv.end(), complex_t{});
+    sparse::aug_spmmv_runs(a, rec, v, w, shapes[static_cast<std::size_t>(shape)],
+                           dvv, dwv);
+  };
+  for (int shape = -1; shape < static_cast<int>(shapes.size()); ++shape) {
+    blas::BlockVector w(n, c.width);
+    std::vector<complex_t> dvv(static_cast<std::size_t>(c.width));
+    std::vector<complex_t> dwv(static_cast<std::size_t>(c.width));
+    sweep_shape(shape, c.width, 0, w, dvv, dwv);
+    for (int lane = 0; lane < c.width; ++lane) {
+      blas::BlockVector w1(n, 1);
+      std::vector<complex_t> dvv1(1), dwv1(1);
+      sweep_shape(shape, 1, lane, w1, dvv1, dwv1);
+      bool column_equal = true;
+      for (global_index i = 0; i < n && column_equal; ++i) {
+        column_equal = bitwise_equal(w(i, lane), w1(i, 0));
+      }
+      const auto l = static_cast<std::size_t>(lane);
+      EXPECT_TRUE(column_equal) << "w, shape " << shape << ", lane " << lane;
+      EXPECT_TRUE(bitwise_equal(dvv[l], dvv1[0]))
+          << "<v|v>, shape " << shape << ", lane " << lane;
+      EXPECT_TRUE(bitwise_equal(dwv[l], dwv1[0]))
+          << "<w|v>, shape " << shape << ", lane " << lane;
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
+std::vector<WideCase> wide_cases() {
+  std::vector<WideCase> out;
+  for (const int width : {8, 16, 32, 64}) {
+    for (const int threads : {1, 2, 3}) out.push_back({width, threads});
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WideLanes, WideBody, ::testing::ValuesIn(wide_cases()),
+    [](const ::testing::TestParamInfo<WideCase>& info) {
+      return wide_name(info.param);
+    });
+
+// ---------------------------------------------------------------------------
 // Determinism and composition.
 
 struct SweepOutput {
@@ -332,10 +480,12 @@ TEST(KernelDispatch, RowIntervalKernelComposesToFullSweep) {
   const auto rec = sparse::AugScalars::recurrence(0.3, -0.05);
   const global_index cut1 = a.nrows() / 3;
   const global_index cut2 = 2 * a.nrows() / 3;
-  sparse::aug_spmmv_rows(a, rec, v, split.w, 0, cut1, split.dvv, split.dwv);
-  sparse::aug_spmmv_rows(a, rec, v, split.w, cut1, cut2, split.dvv, split.dwv);
-  sparse::aug_spmmv_rows(a, rec, v, split.w, cut2, a.nrows(), split.dvv,
+  sparse::aug_spmmv_runs(a, rec, v, split.w, one_run(0, cut1), split.dvv,
                          split.dwv);
+  sparse::aug_spmmv_runs(a, rec, v, split.w, one_run(cut1, cut2), split.dvv,
+                         split.dwv);
+  sparse::aug_spmmv_runs(a, rec, v, split.w, one_run(cut2, a.nrows()),
+                         split.dvv, split.dwv);
   EXPECT_TRUE(bitwise_equal(full.w, split.w));
   for (int r = 0; r < width; ++r) {
     EXPECT_NEAR(std::abs(full.dvv[r] - split.dvv[r]), 0.0, 1e-12);

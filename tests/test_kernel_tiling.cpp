@@ -7,6 +7,7 @@
 // page placement only, never values.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -70,8 +71,14 @@ SweepOutput run_sweep(const Matrix& a, int width) {
   return out;
 }
 
+/// The one-run list [begin, end): a partial sweep over one row interval.
+std::array<IndexRange<global_index>, 1> one_run(global_index begin,
+                                                global_index end) {
+  return {{{begin, end}}};
+}
+
 TEST(KernelTiling, RowIntervalsComposeUnderTiling) {
-  // aug_spmmv_rows over disjoint bands must reproduce the one-shot sweep.
+  // One-run calls over disjoint bands must reproduce the one-shot sweep.
   const auto& a = matrix();
   const int width = 32;
   const auto full = run_sweep(a, width);
@@ -82,10 +89,12 @@ TEST(KernelTiling, RowIntervalsComposeUnderTiling) {
   const auto rec = sparse::AugScalars::recurrence(0.3, -0.05);
   const global_index cut1 = a.nrows() / 3;
   const global_index cut2 = 2 * a.nrows() / 3;
-  sparse::aug_spmmv_rows(a, rec, v, split.w, 0, cut1, split.dvv, split.dwv);
-  sparse::aug_spmmv_rows(a, rec, v, split.w, cut1, cut2, split.dvv, split.dwv);
-  sparse::aug_spmmv_rows(a, rec, v, split.w, cut2, a.nrows(), split.dvv,
+  sparse::aug_spmmv_runs(a, rec, v, split.w, one_run(0, cut1), split.dvv,
                          split.dwv);
+  sparse::aug_spmmv_runs(a, rec, v, split.w, one_run(cut1, cut2), split.dvv,
+                         split.dwv);
+  sparse::aug_spmmv_runs(a, rec, v, split.w, one_run(cut2, a.nrows()),
+                         split.dvv, split.dwv);
   EXPECT_TRUE(bitwise_equal(full.w, split.w));
   for (int r = 0; r < width; ++r) {
     EXPECT_NEAR(std::abs(full.dvv[r] - split.dvv[r]), 0.0, 1e-12);

@@ -1,6 +1,8 @@
-// Tests for the overlapped (split-phase) halo exchange and the row-interval
+// Tests for the overlapped (split-phase) halo exchange and the run-list
 // fused kernel behind it.
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "blas/block_ops.hpp"
 #include "core/moments.hpp"
@@ -19,6 +21,12 @@ sparse::CrsMatrix test_matrix() {
   p.ny = 6;
   p.nz = 6;
   return physics::build_ti_hamiltonian(p);
+}
+
+/// The one-run list [begin, end): a partial sweep over one row interval.
+std::array<IndexRange<global_index>, 1> one_run(global_index begin,
+                                                global_index end) {
+  return {{{begin, end}}};
 }
 
 TEST(AugSpmmvRows, PartialCallsComposeToFullKernel) {
@@ -41,9 +49,11 @@ TEST(AugSpmmvRows, PartialCallsComposeToFullKernel) {
       wv_split(width, complex_t{});
   const global_index cut1 = h.nrows() / 3;
   const global_index cut2 = 2 * h.nrows() / 3;
-  sparse::aug_spmmv_rows(h, sc, v, w_split, cut1, cut2, vv_split, wv_split);
-  sparse::aug_spmmv_rows(h, sc, v, w_split, 0, cut1, vv_split, wv_split);
-  sparse::aug_spmmv_rows(h, sc, v, w_split, cut2, h.nrows(), vv_split,
+  sparse::aug_spmmv_runs(h, sc, v, w_split, one_run(cut1, cut2), vv_split,
+                         wv_split);
+  sparse::aug_spmmv_runs(h, sc, v, w_split, one_run(0, cut1), vv_split,
+                         wv_split);
+  sparse::aug_spmmv_runs(h, sc, v, w_split, one_run(cut2, h.nrows()), vv_split,
                          wv_split);
   EXPECT_LT(blas::max_abs_diff(w_full, w_split), 1e-12);
   for (int r = 0; r < width; ++r) {
@@ -62,12 +72,12 @@ TEST(AugSpmmvRows, EmptyAndInvalidRanges) {
   blas::BlockVector v(h.nrows(), 2), w(h.nrows(), 2);
   std::vector<complex_t> vv(2), wv(2);
   // Empty range: no-op.
-  sparse::aug_spmmv_rows(h, sc, v, w, 5, 5, vv, wv);
+  sparse::aug_spmmv_runs(h, sc, v, w, one_run(5, 5), vv, wv);
   EXPECT_EQ(vv[0], complex_t{});
-  EXPECT_THROW(sparse::aug_spmmv_rows(h, sc, v, w, 10, 5, vv, wv),
+  EXPECT_THROW(sparse::aug_spmmv_runs(h, sc, v, w, one_run(10, 5), vv, wv),
                contract_error);
   EXPECT_THROW(
-      sparse::aug_spmmv_rows(h, sc, v, w, 0, h.nrows() + 1, vv, wv),
+      sparse::aug_spmmv_runs(h, sc, v, w, one_run(0, h.nrows() + 1), vv, wv),
       contract_error);
 }
 

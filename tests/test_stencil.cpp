@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -135,6 +136,12 @@ TEST(Stencil, GrapheneAndSshMomentsBitwiseMatch) {
 
 // --- kernel-layer properties ------------------------------------------------
 
+/// The one-run list [begin, end): a partial sweep over one row interval.
+std::array<IndexRange<global_index>, 1> one_run(global_index begin,
+                                                global_index end) {
+  return {{{begin, end}}};
+}
+
 TEST(Stencil, RowsAndRunsComposeToFullSweep) {
   const auto p = ti_params();
   const auto st = physics::make_ti_stencil(p);
@@ -151,8 +158,9 @@ TEST(Stencil, RowsAndRunsComposeToFullSweep) {
   blas::BlockVector w_split = block(st.nrows(), width, 0.5);
   std::vector<complex_t> sdvv(width), sdwv(width);
   const global_index cut = st.nrows() / 2 + 2;
-  sparse::aug_spmmv_rows(st, rec, v, w_split, 0, cut, sdvv, sdwv);
-  sparse::aug_spmmv_rows(st, rec, v, w_split, cut, st.nrows(), sdvv, sdwv);
+  sparse::aug_spmmv_runs(st, rec, v, w_split, one_run(0, cut), sdvv, sdwv);
+  sparse::aug_spmmv_runs(st, rec, v, w_split, one_run(cut, st.nrows()), sdvv,
+                         sdwv);
   EXPECT_EQ(std::memcmp(w_full.data(), w_split.data(),
                         static_cast<std::size_t>(st.nrows()) * width *
                             sizeof(complex_t)),
