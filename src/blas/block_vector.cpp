@@ -76,6 +76,22 @@ void BlockVector::fill(complex_t value) {
   for (std::size_t i = 0; i < n; ++i) p[i] = value;
 }
 
+bool BlockVector::reshape(global_index rows, int width) {
+  require(rows >= 0 && width > 0, "BlockVector::reshape: invalid shape");
+  const std::size_t doubles = 2 * static_cast<std::size_t>(rows) * width;
+  if (doubles > data_.capacity()) {
+    // Free before allocating, so growth never holds both blocks at once.
+    data_ = untouched_vector<double>();
+    *this = BlockVector(rows, width, Layout::row_major, FirstTouch::parallel);
+    return false;
+  }
+  data_.resize(doubles);  // within capacity: no reallocation, no writes
+  rows_ = rows;
+  width_ = width;
+  layout_ = Layout::row_major;
+  return true;
+}
+
 BlockVector BlockVector::transposed_layout() const {
   const Layout other =
       layout_ == Layout::row_major ? Layout::col_major : Layout::row_major;

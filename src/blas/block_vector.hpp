@@ -87,6 +87,14 @@ class BlockVector {
 
   void fill(complex_t value);
 
+  /// Reshapes to a row-major rows x width block.  Whenever 2*rows*width
+  /// doubles fit the current allocation it is kept and nothing moves (the
+  /// first rows*width complex entries in storage order are unchanged), and
+  /// the call returns true: the contents under the new shape are stale.
+  /// Otherwise the old storage is freed first, a fresh zeroed block with a
+  /// parallel first touch replaces it, and the call returns false.
+  bool reshape(global_index rows, int width);
+
   /// Returns a copy converted to the other storage layout.
   [[nodiscard]] BlockVector transposed_layout() const;
 

@@ -191,8 +191,9 @@ void OperatorRef::apply(const sparse::AugScalars& s,
 }
 
 SweepSession::SweepSession(OperatorRef h, const physics::Scaling& s,
-                           blas::BlockVector v0, int num_moments)
-    : h_(h), s_(s), num_moments_(num_moments) {
+                           blas::BlockVector v0, int num_moments,
+                           blas::BlockVector w)
+    : h_(h), s_(s), num_moments_(num_moments), w_(std::move(w)) {
   require(num_moments >= 2 && num_moments % 2 == 0,
           "SweepSession: num_moments must be even and >= 2");
   require(h.nrows() == h.ncols(), "SweepSession: matrix must be square");
@@ -201,17 +202,22 @@ SweepSession::SweepSession(OperatorRef h, const physics::Scaling& s,
           "SweepSession: start block must be row-major");
   require(v0.width() >= 1, "SweepSession: at least one lane");
   const int width = v0.width();
+  // The start-up step scales the old |w> by zero, so |w> must hold zeros,
+  // not stale values (0 * NaN is NaN): reused storage is cleared, fresh
+  // storage arrives zeroed.
+  const bool stale = w_.reshape(v0.rows(), width);
   if (h_.kind() == OperatorRef::Kind::sell_block) {
     // The SELL-block kernels act in the permuted row numbering; rebind the
-    // start block once on entry (same rule as the scalar-SELL moments loop).
-    v_ = blas::BlockVector(v0.rows(), width, blas::Layout::row_major,
-                           blas::FirstTouch::parallel);
-    h_.sell_block().permute(v0, v_);
+    // start block once on entry (same rule as the scalar-SELL moments loop),
+    // into the |w> storage, and let the start block's storage become |w>.
+    h_.sell_block().permute(v0, w_);
+    v_ = std::move(w_);
+    w_ = std::move(v0);
+    w_.fill(complex_t{});
   } else {
     v_ = std::move(v0);
+    if (stale) w_.fill(complex_t{});
   }
-  w_ = blas::BlockVector(v_.rows(), width, blas::Layout::row_major,
-                         blas::FirstTouch::parallel);
   lane_of_column_.resize(static_cast<std::size_t>(width));
   for (int r = 0; r < width; ++r) lane_of_column_[static_cast<std::size_t>(r)] = r;
   mu_.resize(static_cast<std::size_t>(width));
@@ -325,32 +331,45 @@ int SweepSession::advance_all() {
 
 bool SweepSession::compact() {
   const int width = v_.width();
-  int live = 0;
+  std::vector<int> keep;  // kept columns, ascending
+  keep.reserve(static_cast<std::size_t>(width));
   for (int c = 0; c < width; ++c) {
-    live += active_[static_cast<std::size_t>(
-               lane_of_column_[static_cast<std::size_t>(c)])] != 0;
-  }
-  if (live == width || live == 0) return false;
-  blas::BlockVector nv(v_.rows(), live);
-  blas::BlockVector nw(v_.rows(), live);
-  std::vector<int> nlanes(static_cast<std::size_t>(live));
-  int j = 0;
-  for (int c = 0; c < width; ++c) {
-    const int lane = lane_of_column_[static_cast<std::size_t>(c)];
-    if (active_[static_cast<std::size_t>(lane)] == 0) continue;
-    for (global_index i = 0; i < v_.rows(); ++i) {
-      nv(i, j) = v_(i, c);
-      nw(i, j) = w_(i, c);
+    if (active_[static_cast<std::size_t>(
+            lane_of_column_[static_cast<std::size_t>(c)])] != 0) {
+      keep.push_back(c);
     }
-    nlanes[static_cast<std::size_t>(j)] = lane;
-    ++j;
   }
-  v_ = std::move(nv);
-  w_ = std::move(nw);
-  lane_of_column_ = std::move(nlanes);
+  const int live = static_cast<int>(keep.size());
+  if (live == width || live == 0) return false;
+  // Entry (i, keep[j]) moves to (i, j) at the narrower width: flat index
+  // i*live + j <= i*width + keep[j], and the sources are read in ascending
+  // order, so every source is read before any write can reach it.
+  const global_index rows = v_.rows();
+  complex_t* const pv = v_.data();
+  complex_t* const pw = w_.data();
+  for (global_index i = 0; i < rows; ++i) {
+    const std::size_t src = static_cast<std::size_t>(i) * width;
+    const std::size_t dst = static_cast<std::size_t>(i) * live;
+    for (int j = 0; j < live; ++j) {
+      const std::size_t from = src + static_cast<std::size_t>(keep[j]);
+      pv[dst + static_cast<std::size_t>(j)] = pv[from];
+      pw[dst + static_cast<std::size_t>(j)] = pw[from];
+    }
+  }
+  v_.reshape(rows, live);
+  w_.reshape(rows, live);
+  for (int j = 0; j < live; ++j) {
+    lane_of_column_[static_cast<std::size_t>(j)] =
+        lane_of_column_[static_cast<std::size_t>(keep[j])];
+  }
+  lane_of_column_.resize(static_cast<std::size_t>(live));
   dvv_.resize(static_cast<std::size_t>(live));
   dwv_.resize(static_cast<std::size_t>(live));
   return true;
+}
+
+SweepBlocks SweepSession::release() && {
+  return {std::move(v_), std::move(w_)};
 }
 
 SweepCheckpoint SweepSession::checkpoint() const {

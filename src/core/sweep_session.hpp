@@ -113,6 +113,13 @@ struct SweepCheckpoint {
   std::uint64_t fingerprint = 0;  ///< operator_fingerprint() of the producer
 };
 
+/// The two recurrence blocks of a sweep, as a caller keeps them between
+/// sessions: a workspace whose allocations outlive any one session
+/// (DESIGN.md §5n).
+struct SweepBlocks {
+  blas::BlockVector v, w;
+};
+
 class SweepSession {
  public:
   /// Starts a fresh sweep: lane r of `v0` is the start vector |v0_r>.
@@ -121,8 +128,14 @@ class SweepSession {
   /// row numbering; a SELL-block operator permutes it on entry (its kernels
   /// act in the permuted numbering), every other format takes the block
   /// over as |v>.  Pass an rvalue to hand the block over without a copy.
+  ///
+  /// `w` is optional storage for |w>, of any shape and contents: it is
+  /// reshaped to v0's shape (keeping its allocation when that fits) and
+  /// zeroed.  Left empty, the session allocates |w> itself.  A SELL-block
+  /// operator permutes the start block into this storage and keeps v0's
+  /// storage as |w>, so a session fed both blocks allocates none.
   SweepSession(OperatorRef h, const physics::Scaling& s, blas::BlockVector v0,
-               int num_moments);
+               int num_moments, blas::BlockVector w = {});
 
   /// Resumes from a checkpoint taken against the same operator + scaling.
   /// Checkpoint vectors are in the operator's working numbering (already
@@ -161,11 +174,18 @@ class SweepSession {
   /// next compact() drops it from the kernel block.  Idempotent.
   void deactivate_lane(int lane);
 
-  /// Rebuilds the kernel block with only the active lanes, narrowing the
-  /// sweep width.  Per-lane moments are unaffected (lane arithmetic is
-  /// width-independent, see the header comment).  Returns true if the
-  /// width changed.  No-op when every lane is active or none is.
+  /// Narrows the kernel block to the active lanes, in place: one forward
+  /// copy in row order moves each kept entry to its slot at the narrower
+  /// width (a destination never lies past its source, so nothing is read
+  /// after it is overwritten), and both blocks keep their allocations.
+  /// Per-lane moments are unaffected (lane arithmetic is width-independent,
+  /// see the header comment).  Returns true if the width changed.  No-op
+  /// when every lane is active or none is.
   bool compact();
+
+  /// Hands |v> and |w> back at their current shape, so the caller can feed
+  /// the storage to its next session.  The session is spent afterwards.
+  [[nodiscard]] SweepBlocks release() &&;
 
   /// Copies the full recurrence state for a later restore.
   [[nodiscard]] SweepCheckpoint checkpoint() const;

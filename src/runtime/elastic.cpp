@@ -114,6 +114,9 @@ struct ElasticRuntime::Ctx {
   /// operator_fingerprint(*global_, s_), computed once per run; the member
   /// checkpoint writer and the restore check share it.
   std::uint64_t fp = 0;
+  /// The checkpoint writer's byte buffer (guarded by `m` like the state it
+  /// serializes), kept across chunks and epochs of the run.
+  std::vector<std::byte> checkpoint_buf;
 
   std::thread shadow;
   /// Set by the shadow thread as its very last action (after its commit
@@ -295,8 +298,21 @@ void ElasticRuntime::write_checkpoint_locked(Ctx& ctx) const {
   if (opts_.checkpoint_path.empty()) return;
   const global_index n = global_->nrows();
   const int width = p_.num_random;
-  std::vector<std::byte> buf;
-  buf.insert(buf.end(), reinterpret_cast<const std::byte*>(kMagic),
+  // Sized for this run's last checkpoint (every lane's eta at num_moments)
+  // under the current partition and schedule, so the buffer is reserved
+  // once and later chunks rewrite it in place; a membership change that
+  // lengthens the schedule grows it once more.  13 fixed words: the magic,
+  // ten header fields, and the rate and schedule counts.
+  std::size_t bytes = 8 * (13 + ctx.part.offsets().size() + ctx.rates.size() +
+                           static_cast<std::size_t>(width) * p_.num_moments) +
+                      2 * static_cast<std::size_t>(n) * width * 16;
+  for (const auto& ev : ctx.report.schedule) {
+    bytes += 8 * (2 + ev.offsets.size());
+  }
+  std::vector<std::byte>& buf = ctx.checkpoint_buf;
+  buf.clear();
+  buf.reserve(bytes);
+  buf.assign(reinterpret_cast<const std::byte*>(kMagic),
              reinterpret_cast<const std::byte*>(kMagic) + 8);
   put_u64(buf, ctx.fp);
   put_u64(buf, stencil_ != nullptr ? 1u : 0u);

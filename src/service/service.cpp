@@ -365,6 +365,9 @@ void KpmService::finalize(const std::shared_ptr<Job>& job, JobStatus status,
 }
 
 void KpmService::worker_loop() {
+  // This worker's sweep workspace: every batch it runs sweeps in these two
+  // blocks, which grow to its widest batch and live until shutdown.
+  core::SweepBlocks workspace;
   for (;;) {
     std::vector<LaneAssignment> batch;
     int lanes = 0;
@@ -413,7 +416,7 @@ void KpmService::worker_loop() {
     }
 
     try {
-      run_batch(*model, batch, lanes);
+      run_batch(*model, batch, lanes, workspace);
     } catch (const std::exception& e) {
       for (auto& a : batch) {
         finalize(a.job, JobStatus::failed, nullptr, e.what());
@@ -429,7 +432,8 @@ void KpmService::worker_loop() {
 }
 
 void KpmService::run_batch(const Model& model,
-                           std::vector<LaneAssignment>& batch, int lanes) {
+                           std::vector<LaneAssignment>& batch, int lanes,
+                           core::SweepBlocks& workspace) {
   const core::OperatorRef op = model.ref();
   const global_index n = op.nrows();
   int batch_moments = 2;
@@ -437,11 +441,13 @@ void KpmService::run_batch(const Model& model,
     batch_moments = std::max(batch_moments, a.job->req_.num_moments);
   }
 
-  // Start block: each job's lanes are generated by that job's own seeded
-  // source at its first lane — exactly the stream a solo sweep of the same
-  // request would consume, so the job's bits cannot depend on its batchmates.
-  blas::BlockVector v0(n, lanes, blas::Layout::row_major,
-                       blas::FirstTouch::parallel);
+  // Start block, written straight into the workspace: each job's lanes are
+  // generated by that job's own seeded source at its first lane — exactly
+  // the stream a solo sweep of the same request would consume, so the job's
+  // bits cannot depend on its batchmates.  The jobs' lanes tile [0, lanes),
+  // so every entry is written and stale workspace values cannot leak in.
+  blas::BlockVector v0 = std::move(workspace.v);
+  v0.reshape(n, lanes);
   for (const auto& a : batch) {
     RandomVectorSource(a.job->req_.seed, a.job->req_.vector_kind)
         .fill_block(v0.span(), lanes, a.first_lane, a.job->req_.num_random);
@@ -453,7 +459,8 @@ void KpmService::run_batch(const Model& model,
     a.job->batch_width_ = lanes;
   }
 
-  core::SweepSession session(op, model.scaling, std::move(v0), batch_moments);
+  core::SweepSession session(op, model.scaling, std::move(v0), batch_moments,
+                             std::move(workspace.w));
   std::vector<char> live(batch.size(), 1);
 
   // Per-job damping tables g_0..g_{M-1} (core/damping.hpp), computed once
@@ -584,9 +591,12 @@ void KpmService::run_batch(const Model& model,
     if (live[i]) retire(i, JobStatus::cancelled, "service shut down");
   }
 
-  std::lock_guard lock(mutex_);
-  stats_.sweep_steps += session.steps();
-  stats_.lanes_swept += session.lanes_swept();
+  {
+    std::lock_guard lock(mutex_);
+    stats_.sweep_steps += session.steps();
+    stats_.lanes_swept += session.lanes_swept();
+  }
+  workspace = std::move(session).release();
 }
 
 }  // namespace kpm::service

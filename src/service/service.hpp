@@ -26,6 +26,13 @@
 //    the narrower width (compact_freed_lanes) — early finishers and
 //    cancellations stop paying for lanes nobody consumes.
 //
+// Workspaces (DESIGN.md §5n): each worker sweeps every batch in one |v>, |w>
+// block pair that grows to the widest batch the worker has run and is
+// freed only at shutdown, so the steady state allocates no block.  The
+// memory kept per worker is 2 * 16 bytes times the largest rows x lanes
+// product among its batches: 2 * N * (widest batch) * 16 bytes for one
+// model of N rows.
+//
 // Bitwise contract: the moments delivered for a job are bitwise identical
 // to a direct core::moments_of_block() call on the block its seed generates,
 // no matter which batch width served it — lane arithmetic in the fused
@@ -263,8 +270,11 @@ class KpmService {
   void register_operator(const std::string& key, OperatorStore h,
                          const physics::Scaling& s);
   void worker_loop();
-  void run_batch(const Model& model,
-                 std::vector<LaneAssignment>& batch, int lanes);
+  /// Sweeps one batch in the calling worker's `workspace` and hands the
+  /// storage back into it on return (an exception leaves it empty; the
+  /// next batch then allocates afresh).
+  void run_batch(const Model& model, std::vector<LaneAssignment>& batch,
+                 int lanes, core::SweepBlocks& workspace);
   void finalize(const std::shared_ptr<Job>& job, JobStatus status,
                 std::shared_ptr<const core::MomentsResult> result,
                 const std::string& error);

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -33,13 +32,17 @@ struct aligned_allocator {
   template <class U>
   aligned_allocator(const aligned_allocator<U, Alignment>&) noexcept {}
 
+  // Aligned global operator new/delete, so a replaced allocator (such as
+  // the kpm_alloc_hook counter) sees every payload.
   [[nodiscard]] T* allocate(std::size_t n) {
     if (n == 0) return nullptr;
-    void* p = std::aligned_alloc(Alignment, round_up(n * sizeof(T)));
-    if (p == nullptr) throw std::bad_alloc();
-    return static_cast<T*>(p);
+    return static_cast<T*>(::operator new(round_up(n * sizeof(T)),
+                                          std::align_val_t{Alignment}));
   }
-  void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+  void deallocate(T* p, std::size_t n) noexcept {
+    if (p == nullptr) return;
+    ::operator delete(p, round_up(n * sizeof(T)), std::align_val_t{Alignment});
+  }
 
   template <class U>
   bool operator==(const aligned_allocator<U, Alignment>&) const noexcept {

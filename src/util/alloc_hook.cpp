@@ -11,14 +11,22 @@
 namespace {
 
 std::atomic<std::int64_t> g_allocations{0};
+std::atomic<std::int64_t> g_large_allocations{0};
+
+void count(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size >= kpm::util::kLargeAllocationBytes) {
+    g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+}
 
 void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   return std::malloc(size ? size : 1);
 }
 
 void* counted_alloc_aligned(std::size_t size, std::size_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   // aligned_alloc requires size to be a multiple of the alignment.
   const std::size_t rounded = (size + align - 1) / align * align;
   return std::aligned_alloc(align, rounded ? rounded : align);
@@ -30,6 +38,10 @@ namespace kpm::util {
 
 std::int64_t allocation_count() noexcept {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::int64_t large_allocation_count() noexcept {
+  return g_large_allocations.load(std::memory_order_relaxed);
 }
 
 bool allocation_hook_active() noexcept { return true; }

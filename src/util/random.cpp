@@ -88,14 +88,20 @@ void RandomVectorSource::fill_block(std::span<complex_t> block, int width,
   const global_index hi = window.begin + window.rows;
 
   // One record per lane: its engine and its norm.  Cache-line aligned, so
-  // threads on neighbouring lanes share no line; one allocation, so the
-  // scratch leaves no small chunks behind in the heap.
+  // threads on neighbouring lanes share no line.  An engine is 2.5 KB, so
+  // the records of a wide call pass 64 KiB; the calling thread keeps them
+  // and reuses them on its next call (a service worker fills a start block
+  // per batch) instead of allocating anew.
   struct alignas(64) Lane {
     std::mt19937_64 engine;
     double norm2 = 0.0;
     double scale = 0.0;
   };
-  std::vector<Lane> lane(static_cast<std::size_t>(lanes), Lane{engine_});
+  thread_local std::vector<Lane> scratch;
+  // A plain reference, so the team threads below reach the calling thread's
+  // records (naming `scratch` there would name each thread's own copy).
+  std::vector<Lane>& lane = scratch;
+  lane.assign(static_cast<std::size_t>(lanes), Lane{engine_});
 
   // Draws lanes [first, last) over all n_global rows in row order, storing
   // the window's rows and summing each lane's norm in row order — fill()'s

@@ -127,6 +127,43 @@ TEST(BlockVector, TransposedLayoutPreservesValues) {
     for (int r = 0; r < 3; ++r) EXPECT_EQ(t(i, r), b(i, r));
 }
 
+TEST(BlockVector, ReshapeKeepsTheAllocationWhenTheShapeFits) {
+  BlockVector b(100, 8, Layout::col_major);
+  for (std::size_t k = 0; k < b.size(); ++k) {
+    b.data()[k] = {static_cast<double>(k), -1.0};
+  }
+  const complex_t* storage = b.data();
+
+  // Narrower and wider shapes within the allocation: nothing moves, and the
+  // storage-order prefix is untouched.
+  EXPECT_TRUE(b.reshape(50, 16));
+  EXPECT_EQ(b.data(), storage);
+  EXPECT_EQ(b.rows(), 50);
+  EXPECT_EQ(b.width(), 16);
+  EXPECT_EQ(b.layout(), Layout::row_major);
+  EXPECT_EQ(b.size(), 800u);
+  EXPECT_TRUE(b.reshape(10, 3));
+  EXPECT_EQ(b.data(), storage);
+  EXPECT_EQ(b.size(), 30u);
+  for (std::size_t k = 0; k < b.size(); ++k) {
+    EXPECT_EQ(b.data()[k], (complex_t{static_cast<double>(k), -1.0}));
+  }
+  EXPECT_EQ(b(2, 1), (complex_t{7.0, -1.0}));
+  EXPECT_TRUE(b.reshape(100, 8));  // back to the full allocation
+  EXPECT_EQ(b.data(), storage);
+
+  // Growth past the allocation: a fresh zeroed block.
+  EXPECT_FALSE(b.reshape(101, 8));
+  EXPECT_EQ(b.rows(), 101);
+  EXPECT_EQ(b.width(), 8);
+  for (const complex_t z : b.span()) EXPECT_EQ(z, complex_t{});
+
+  BlockVector empty;
+  EXPECT_FALSE(empty.reshape(4, 2));
+  EXPECT_EQ(empty.size(), 8u);
+  EXPECT_THROW(empty.reshape(4, 0), contract_error);
+}
+
 TEST(BlockOps, ColumnDotsMatchPerColumnDot) {
   const global_index n = 123;
   const int width = 5;

@@ -6,7 +6,10 @@
 // a width-W sweep must be BITWISE equal to that lane swept alone at width 1
 // — its w column and both of its dots — for every format, every width (in
 // and out of the fixed-width table) and every sweep shape (full, row
-// intervals, run lists).  The padded per-thread dot reductions merge
+// intervals, run lists), on the TI operators and on the same operators
+// rotated to general complex entries (so a body that fused the other
+// product of a complex multiply into its FMA would show up on every
+// format).  The padded per-thread dot reductions merge
 // partials in a fixed thread order, so repeated runs at a fixed thread
 // count must agree exactly as well.
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 
 #include <algorithm>
 #include <array>
+#include <complex>
 #include <cstring>
 #include <functional>
 #include <ostream>
@@ -86,6 +90,82 @@ const sparse::StencilOperator& stencil_operator() {
       return 0.3 * static_cast<double>((s.x + 2 * s.y + 3 * s.z) % 5) - 0.6;
     };
     return physics::make_ti_stencil(p);
+  }();
+  return m;
+}
+
+// The same operators rotated by a fixed phase e^{i theta}.  Every TI entry
+// is purely real or purely imaginary, so one of the two products of each
+// complex multiply is exactly zero and a kernel contracting the other
+// product into its FMA still gives the same bits; rotated entries are
+// general complex numbers, whose lanes see which product is fused.
+const complex_t kRotation = std::polar(1.0, 0.7);
+
+const sparse::CrsMatrix& rotated_matrix() {
+  static const sparse::CrsMatrix m = [] {
+    const sparse::CrsMatrix& a = matrix();
+    const auto rp = a.row_ptr();
+    const auto ci = a.col_idx();
+    aligned_vector<complex_t> val(a.values().begin(), a.values().end());
+    for (auto& z : val) z *= kRotation;
+    return sparse::CrsMatrix(a.nrows(), a.ncols(),
+                             aligned_vector<global_index>(rp.begin(), rp.end()),
+                             aligned_vector<local_index>(ci.begin(), ci.end()),
+                             std::move(val));
+  }();
+  return m;
+}
+
+const sparse::BsrMatrix& rotated_bsr_matrix() {
+  static const sparse::BsrMatrix m(rotated_matrix(), 4);
+  return m;
+}
+
+const sparse::BsrMatrix& rotated_bsr_matrix_f32() {
+  static const sparse::BsrMatrix m(rotated_matrix(), 4,
+                                   sparse::MatrixPrecision::f32);
+  return m;
+}
+
+const sparse::SellBlockMatrix& rotated_sell_block_matrix() {
+  static const sparse::SellBlockMatrix m(rotated_bsr_matrix(), 8, 32);
+  return m;
+}
+
+/// The TI stencil with rotated coefficient blocks (the real on-site
+/// potential still merges into the rotated on-site block), over the TI
+/// lattice: periodic in x and y, open in z, so the open-z rows take the
+/// boundary walk.
+const sparse::StencilOperator& rotated_stencil_operator() {
+  static const sparse::StencilOperator m = [] {
+    const sparse::StencilOperator& a = stencil_operator();
+    std::vector<sparse::StencilOperator::Term> terms(a.terms().begin(),
+                                                     a.terms().end());
+    for (auto& t : terms) {
+      for (auto& z : t.coeff) z *= kRotation;
+    }
+    const auto p = ti_params();
+    auto neighbor = [p](global_index s, std::size_t term) -> global_index {
+      static constexpr int axis[7] = {2, 1, 0, -1, 0, 1, 2};
+      static constexpr int dir[7] = {-1, -1, -1, 0, +1, +1, +1};
+      if (axis[term] < 0) return s;
+      int c[3] = {static_cast<int>(s % p.nx),
+                  static_cast<int>((s / p.nx) % p.ny),
+                  static_cast<int>(s / (static_cast<global_index>(p.nx) * p.ny))};
+      const int ext[3] = {p.nx, p.ny, p.nz};
+      int& v = c[axis[term]];
+      v += dir[term];
+      if (v < 0 || v >= ext[axis[term]]) {
+        if (axis[term] == 2) return -1;  // open z
+        v = (v + ext[axis[term]]) % ext[axis[term]];
+      }
+      return c[0] + static_cast<global_index>(p.nx) *
+                        (c[1] + static_cast<global_index>(p.ny) * c[2]);
+    };
+    return sparse::StencilOperator(
+        "ti-rotated", a.block_dim(), a.nrows() / a.block_dim(),
+        std::move(terms), std::vector<double>(a.diag().begin(), a.diag().end()),
+        neighbor);
   }();
   return m;
 }
@@ -222,6 +302,11 @@ const std::vector<Format>& formats() {
       make_format("bsr4_f32", bsr_matrix_f32()),
       make_format("sell_block", sell_block_matrix()),
       make_format("stencil", stencil_operator()),
+      make_format("crs_rot", rotated_matrix()),
+      make_format("bsr4_rot", rotated_bsr_matrix()),
+      make_format("bsr4_f32_rot", rotated_bsr_matrix_f32()),
+      make_format("sell_block_rot", rotated_sell_block_matrix()),
+      make_format("stencil_rot", rotated_stencil_operator()),
   };
   return all;
 }

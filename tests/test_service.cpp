@@ -705,6 +705,70 @@ TEST(Service, ReRegisteredStencilModelDoesNotServeStaleCachedResults) {
       << "stale cache hit across re-registered disorder realization";
 }
 
+TEST(Service, ReRegisterWithANewDimensionWhileOldBatchesRun) {
+  // Each worker sweeps every batch in one workspace whose shape follows the
+  // batch's model.  Re-registering the key with an operator of another N
+  // while batches of the old one still run must leave every job with the
+  // exact bits of the registration that served it (result().dimension
+  // names which) — under tsan, with no race on the models, the queue or
+  // the workspaces.
+  const auto h1 = small_ti();  // N = 192
+  physics::TIParams p2;
+  p2.nx = 4;
+  p2.ny = 4;
+  p2.nz = 5;
+  const auto h2 = physics::build_ti_hamiltonian(p2);  // N = 320
+  const auto s1 = scaling_for(h1);
+  const auto s2 = scaling_for(h2);
+  service::ServiceConfig cfg = test_config(8);
+  cfg.num_workers = 2;
+  cfg.cache_bytes = 0;
+  service::KpmService svc(cfg);
+
+  std::vector<std::shared_ptr<service::Job>> jobs;
+  std::uint64_t seed = 300;
+  for (int round = 0; round < 6; ++round) {
+    if (round % 2 == 0) {
+      svc.register_model("ti", h1, s1);
+    } else {
+      svc.register_model("ti", h2, s2);
+    }
+    std::vector<std::shared_ptr<service::Job>> wave;
+    for (int j = 0; j < 6; ++j) {
+      service::JobRequest jr;
+      jr.model = "ti";
+      jr.num_moments = j % 2 == 0 ? 128 : 64;
+      jr.num_random = 2 + j % 3;
+      jr.seed = seed++;
+      wave.push_back(svc.submit(jr));
+    }
+    // Re-register only once a batch of this registration is mid-sweep.
+    wave.front()->wait_moments(8);
+    jobs.insert(jobs.end(), wave.begin(), wave.end());
+  }
+  svc.drain();
+
+  int served[2] = {0, 0};
+  for (const auto& job : jobs) {
+    ASSERT_EQ(job->wait(), service::JobStatus::done) << job->error();
+    const auto& res = job->result();
+    const bool first = res.dimension == h1.nrows();
+    ASSERT_TRUE(first || res.dimension == h2.nrows());
+    ++served[first ? 0 : 1];
+    const auto& h = first ? h1 : h2;
+    const auto& req = job->request();
+    const auto direct = core::moments_of_block(
+        h, first ? s1 : s2, start_block(h, req.seed, req.num_random),
+        req.num_moments);
+    ASSERT_EQ(res.per_vector.size(), direct.size());
+    for (std::size_t r = 0; r < direct.size(); ++r) {
+      expect_bitwise(res.per_vector[r], direct[r], "re-registered lane");
+    }
+  }
+  EXPECT_GT(served[0], 0);
+  EXPECT_GT(served[1], 0);
+}
+
 // --- Result cache ------------------------------------------------------------
 
 std::shared_ptr<core::MomentsResult> make_result(int m) {
