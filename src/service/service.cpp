@@ -18,8 +18,6 @@ const char* kind_tag(RandomVectorKind kind) {
       return "phase";
     case RandomVectorKind::rademacher:
       return "rademacher";
-    case RandomVectorKind::gaussian:
-      return "gaussian";
   }
   return "?";
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 #include "core/moments.hpp"
 #include "core/sweep_session.hpp"

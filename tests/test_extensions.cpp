@@ -3,6 +3,7 @@
 // Market I/O.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "core/statistics.hpp"
@@ -182,13 +183,15 @@ TEST(Statistics, ErrorBandCoversExactDensityMostly) {
   core::ReconstructParams rp;
   rp.num_points = 128;
   const auto band = core::reconstruct_with_errors(res_a, s, rp);
-  const auto other = core::reconstruct_density(res_b.mu, s, rp);
-  // The 4-sigma band around estimate A must cover estimate B at almost all
-  // points (both estimate the same density).
+  const auto other = core::reconstruct_with_errors(res_b, s, rp);
+  // Both estimate the same density independently, so their difference has
+  // standard error sqrt(sigma_A^2 + sigma_B^2); its 4-sigma band must cover
+  // the difference at almost all points.
   int covered = 0;
   for (std::size_t k = 0; k < band.mean.density.size(); ++k) {
-    if (std::abs(band.mean.density[k] - other.density[k]) <=
-        4.0 * band.sigma[k] + 1e-9) {
+    const double sigma_diff = std::hypot(band.sigma[k], other.sigma[k]);
+    if (std::abs(band.mean.density[k] - other.mean.density[k]) <=
+        4.0 * sigma_diff + 1e-9) {
       ++covered;
     }
   }

@@ -2,6 +2,9 @@
 // statistics and the table writer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -147,40 +150,43 @@ TEST(Random, FillColumnMatchesFill) {
   for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(block[i * 4 + 2], v[i]);
 }
 
-// The start-vector stream restated without RandomVectorSource: successive
-// length-n vectors drawn serially from one mt19937_64, each normalized.
-// fill_block must reproduce these bits for every width, window and thread
-// count.
-std::vector<complex_t> serial_stream_vector(std::mt19937_64& eng,
-                                            RandomVectorKind kind,
-                                            std::size_t n) {
-  std::vector<complex_t> v(n);
-  double norm2 = 0.0;
-  for (auto& x : v) {
-    switch (kind) {
-      case RandomVectorKind::phase: {
-        std::uniform_real_distribution<double> dist(0.0, 2.0 * pi);
-        const double phi = dist(eng);
-        x = {std::cos(phi), std::sin(phi)};
-        break;
-      }
-      case RandomVectorKind::rademacher: {
-        std::bernoulli_distribution dist(0.5);
-        x = {dist(eng) ? 1.0 : -1.0, 0.0};
-        break;
-      }
-      case RandomVectorKind::gaussian: {
-        std::normal_distribution<double> dist(0.0, 1.0);
-        const double re = dist(eng);
-        x = {re, dist(eng)};
-        break;
-      }
-    }
-    norm2 += std::norm(x);
+TEST(Random, PhiloxKnownAnswers) {
+  // The Philox4x32-10 known-answer vectors of Salmon et al. (Random123).
+  using Ctr = std::array<std::uint32_t, 4>;
+  using Key = std::array<std::uint32_t, 2>;
+  EXPECT_EQ(philox4x32_10(Ctr{0, 0, 0, 0}, Key{0, 0}),
+            (Ctr{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}));
+  EXPECT_EQ(philox4x32_10(Ctr{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
+                          Key{0xffffffff, 0xffffffff}),
+            (Ctr{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}));
+  EXPECT_EQ(philox4x32_10(Ctr{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+                          Key{0xa4093822, 0x299f31d0}),
+            (Ctr{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}));
+}
+
+// The start-vector definition restated from its two primitives: lane l of
+// global row i takes 64-bit half (l & 1) of Philox4x32-10 of the counter
+// (i, l >> 1) under the seed.  fill_block must reproduce these bits for
+// every width, first lane, window and thread count.
+complex_t defined_entry(std::uint64_t seed, RandomVectorKind kind,
+                        std::uint64_t lane, global_index row,
+                        global_index n) {
+  const auto r = static_cast<std::uint64_t>(row);
+  const std::uint64_t pair = lane >> 1;
+  const auto w = [](std::uint64_t x, int shift) {
+    return static_cast<std::uint32_t>(x >> shift);
+  };
+  const auto h = philox4x32_10({w(r, 0), w(r, 32), w(pair, 0), w(pair, 32)},
+                               {w(seed, 0), w(seed, 32)});
+  const std::uint64_t bits = (lane & 1) != 0
+                                 ? std::uint64_t{h[3]} << 32 | h[2]
+                                 : std::uint64_t{h[1]} << 32 | h[0];
+  const double scale = 1.0 / std::sqrt(static_cast<double>(n));
+  if (kind == RandomVectorKind::rademacher) {
+    return {(bits >> 63) != 0 ? -scale : scale, 0.0};
   }
-  const double scale = 1.0 / std::sqrt(norm2);
-  for (auto& x : v) x *= scale;
-  return v;
+  const complex_t z = unit_phase(bits);
+  return {z.real() * scale, z.imag() * scale};
 }
 
 /// Runs `body` once per OpenMP team size in {1, 2, 4}.
@@ -199,11 +205,11 @@ void for_each_thread_count(Body body) {
 }
 
 constexpr RandomVectorKind kAllKinds[] = {RandomVectorKind::phase,
-                                          RandomVectorKind::rademacher,
-                                          RandomVectorKind::gaussian};
+                                          RandomVectorKind::rademacher};
 
 TEST(Random, FillBlockMatchesSerialStreamBitwise) {
   const global_index n = 97;
+  const std::uint64_t seed = 23;
   const complex_t sentinel{-7.0, 3.0};
   struct Window {
     global_index begin, rows;
@@ -214,46 +220,133 @@ TEST(Random, FillBlockMatchesSerialStreamBitwise) {
     for (const auto kind : kAllKinds) {
       for (const int width : {1, 3, 32}) {
         for (const int first_col : {0, width / 3}) {
-          const int lanes = width - first_col;
-          for (const Window& win : windows) {
-            std::mt19937_64 ref(23);
-            std::vector<std::vector<complex_t>> want;
-            for (int l = 0; l < lanes; ++l) {
-              want.push_back(serial_stream_vector(ref, kind, n));
-            }
-            RandomVectorSource src(23, kind);
-            std::vector<complex_t> block(
-                static_cast<std::size_t>(win.rows * width), sentinel);
-            src.fill_block(block, width, first_col, lanes,
-                           {n, win.begin, win.rows});
-            for (global_index i = 0; i < win.rows; ++i) {
-              for (int c = 0; c < width; ++c) {
-                const complex_t got =
-                    block[static_cast<std::size_t>(i * width + c)];
-                const complex_t expect =
-                    c < first_col
-                        ? sentinel
-                        : want[static_cast<std::size_t>(c - first_col)]
-                              [static_cast<std::size_t>(win.begin + i)];
-                ASSERT_EQ(got, expect)
-                    << "threads=" << threads << " kind="
-                    << static_cast<int>(kind) << " width=" << width
-                    << " first_col=" << first_col << " window=["
-                    << win.begin << "," << win.begin + win.rows
-                    << ") row=" << i << " col=" << c;
+          // Lanes handed out before this call: even and odd first lanes.
+          for (const int skip : {0, 1, 4, 7}) {
+            const int lanes = width - first_col;
+            for (const Window& win : windows) {
+              RandomVectorSource src(seed, kind);
+              if (skip > 0) {  // one row of `skip` lanes
+                std::vector<complex_t> before(static_cast<std::size_t>(skip));
+                src.fill_block(before, skip, 0, skip);
+              }
+              std::vector<complex_t> block(
+                  static_cast<std::size_t>(win.rows * width), sentinel);
+              src.fill_block(block, width, first_col, lanes,
+                             {n, win.begin, win.rows});
+              for (global_index i = 0; i < win.rows; ++i) {
+                for (int c = 0; c < width; ++c) {
+                  const auto lane = static_cast<std::uint64_t>(skip + c -
+                                                               first_col);
+                  const complex_t expect =
+                      c < first_col ? sentinel
+                                    : defined_entry(seed, kind, lane,
+                                                    win.begin + i, n);
+                  ASSERT_EQ(block[static_cast<std::size_t>(i * width + c)],
+                            expect)
+                      << "threads=" << threads
+                      << " kind=" << static_cast<int>(kind)
+                      << " width=" << width << " first_col=" << first_col
+                      << " skip=" << skip << " window=[" << win.begin << ","
+                      << win.begin + win.rows << ") row=" << i << " col=" << c;
+                }
+              }
+              // The next fill() continues with the lane after the block's.
+              std::vector<complex_t> next(static_cast<std::size_t>(n));
+              src.fill(next);
+              for (global_index i = 0; i < n; ++i) {
+                const auto next_lane = static_cast<std::uint64_t>(skip + lanes);
+                ASSERT_EQ(next[static_cast<std::size_t>(i)],
+                          defined_entry(seed, kind, next_lane, i, n))
+                    << "threads=" << threads << " width=" << width;
               }
             }
-            // The stream continues where `lanes` fill() calls leave it.
-            std::vector<complex_t> next(static_cast<std::size_t>(n));
-            src.fill(next);
-            ASSERT_EQ(next, serial_stream_vector(ref, kind, n))
-                << "threads=" << threads << " kind="
-                << static_cast<int>(kind) << " width=" << width;
           }
         }
       }
     }
   });
+}
+
+TEST(Random, FillBlockWindowCostsOnlyItsRows) {
+  // A 64-row window at the end of a 2^40-row vector: per-window work is
+  // O(rows * lanes), so this finishes at once where a walk over n_global
+  // rows could not.
+  const global_index n = global_index{1} << 40;
+  const global_index begin = n - 100;
+  const int width = 5;
+  for (const auto kind : kAllKinds) {
+    RandomVectorSource src(0x0123456789abcdefULL, kind);
+    std::vector<complex_t> block(64 * width);
+    src.fill_block(block, width, 0, width, {n, begin, 64});
+    for (global_index i = 0; i < 64; ++i) {
+      for (int l = 0; l < width; ++l) {
+        ASSERT_EQ(block[static_cast<std::size_t>(i * width + l)],
+                  defined_entry(0x0123456789abcdefULL, kind,
+                                static_cast<std::uint64_t>(l), begin + i, n));
+      }
+    }
+    EXPECT_NEAR(std::norm(block[0]) * static_cast<double>(n), 1.0, 1e-15);
+  }
+}
+
+TEST(Random, UnitPhaseMatchesLibmToAFewUlp) {
+  // Every octant, both octant ends, and a spread of angles inside.
+  std::vector<std::uint64_t> inputs;
+  for (std::uint64_t o = 0; o < 8; ++o) {
+    inputs.push_back(o << 61);
+    inputs.push_back((o << 61) | ((std::uint64_t{1} << 61) - 1));
+  }
+  std::mt19937_64 eng(5);
+  for (int i = 0; i < 100000; ++i) inputs.push_back(eng());
+  double worst = 0.0;
+  for (const std::uint64_t bits : inputs) {
+    const double u = static_cast<double>(bits >> 11) * 0x1p-53;
+    const complex_t z = unit_phase(bits);
+    const double ref_re = std::cos(2.0 * pi * u);
+    const double ref_im = std::sin(2.0 * pi * u);
+    worst = std::max({worst, std::abs(z.real() - ref_re),
+                      std::abs(z.imag() - ref_im)});
+    // |z|^2 = 1 to a few ulp.
+    ASSERT_NEAR(std::norm(z), 1.0, 4 * 0x1p-52) << std::hex << bits;
+  }
+  // 2 pi u itself rounds, so libm sees an angle up to ~ulp(2 pi) off.
+  EXPECT_LT(worst, 2e-15);
+}
+
+TEST(Random, PhaseEntriesHaveModulusOneOverSqrtN) {
+  const global_index n = 4096;
+  const int width = 8;
+  RandomVectorSource src(11);
+  std::vector<complex_t> block(static_cast<std::size_t>(n * width));
+  src.fill_block(block, width, 0, width);
+  double worst = 0.0;
+  for (const complex_t& z : block) {
+    worst = std::max(worst,
+                     std::abs(std::norm(z) * static_cast<double>(n) - 1.0));
+  }
+  EXPECT_LE(worst, 8 * 0x1p-52);
+}
+
+TEST(Random, PhaseIsUniform) {
+  // Chi-square of a 16-bin phase histogram over 2^20 entries (8 lanes of
+  // 2^17 rows).  15 degrees of freedom: P(chi2 > 37.7) = 0.001.
+  const global_index n = global_index{1} << 17;
+  const int width = 8;
+  const int bins = 16;
+  RandomVectorSource src(2024);
+  std::vector<complex_t> block(static_cast<std::size_t>(n * width));
+  src.fill_block(block, width, 0, width);
+  std::vector<double> count(bins, 0.0);
+  for (const complex_t& z : block) {
+    const double phi = std::atan2(z.imag(), z.real());  // (-pi, pi]
+    const int b =
+        std::min(bins - 1, static_cast<int>((phi + pi) / (2 * pi) * bins));
+    count[static_cast<std::size_t>(b)] += 1.0;
+  }
+  const double expect = static_cast<double>(block.size()) / bins;
+  double chi2 = 0.0;
+  for (const double c : count) chi2 += (c - expect) * (c - expect) / expect;
+  EXPECT_LT(chi2, 37.7);
 }
 
 TEST(Random, FillBlockMatchesFillAndFillColumn) {
@@ -284,15 +377,8 @@ TEST(Random, FillBlockRejectsBadArguments) {
   EXPECT_THROW(src.fill_block(block, 4, 0, 4, {20, 15, 10}), contract_error);
   EXPECT_THROW(src.fill_block(block, 4, 0, 4, {20, 0, 11}), contract_error);
   EXPECT_THROW(src.fill_block(block, 3, 0, 3), contract_error);
-}
-
-TEST(Random, GaussianVectorIsNormalized) {
-  RandomVectorSource src(9, RandomVectorKind::gaussian);
-  aligned_vector<complex_t> v(512);
-  src.fill(v);
-  double norm2 = 0.0;
-  for (const auto& x : v) norm2 += std::norm(x);
-  EXPECT_NEAR(norm2, 1.0, 1e-12);
+  std::vector<complex_t> empty;
+  EXPECT_THROW(src.fill(empty), contract_error);
 }
 
 TEST(Stats, SummaryOfKnownSample) {
