@@ -16,9 +16,10 @@ namespace {
 /// One timed probe: sweeps of the fused block kernel on this rank's share of
 /// `dist`, returning this rank's best seconds per sweep.  Timed like the
 /// load balancer (DESIGN §5e): a barrier first, so a peer's tail is absorbed
-/// outside the timed region, then thread CPU time, which excludes time spent
-/// descheduled on a loaded host.  Every probe of auto_tune_weights goes
-/// through here.
+/// outside the timed region, then the kernel work clock, which counts the
+/// slowest team thread's CPU time over its own rows and none of the time a
+/// team thread spends descheduled on a loaded host.  Every probe of
+/// auto_tune_weights goes through here.
 double probe_seconds(Communicator& comm, const DistributedMatrix& dist,
                      const AutoTuneParams& p) {
   blas::BlockVector v(dist.extended_rows(), p.block_width);
@@ -38,9 +39,9 @@ double probe_seconds(Communicator& comm, const DistributedMatrix& dist,
   comm.barrier();
   double best = 1e300;
   for (int sweep = 0; sweep < p.sweeps_per_probe; ++sweep) {
-    const double t0 = Timer::thread_cpu_now();
+    const sparse::KernelWorkClock clock;
     sparse::aug_spmmv(dist.local(), rec, v, w, dvv, dwv);
-    best = std::min(best, Timer::thread_cpu_now() - t0);
+    best = std::min(best, clock.seconds());
   }
   return p.probe_time ? p.probe_time(comm.rank(), dist.local_rows(), best)
                       : best;
@@ -71,8 +72,8 @@ AutoTuneResult auto_tune_weights(Communicator& comm,
   out.partition = RowPartition::weighted(global.nrows(), out.weights);
   // The equal-weight starting partition is also the rate sample: every rank
   // times an equal-size row block, so a per-sweep cost that does not scale
-  // with rows (the fork/join of each rank's OpenMP team) cancels in the rate
-  // ratio instead of feeding back into the next partition.
+  // with rows cancels in the rate ratio instead of feeding back into the
+  // next partition.
   const RowPartition sample = out.partition;
   const DistributedMatrix sample_dist(comm, global, sample);
 

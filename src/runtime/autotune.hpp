@@ -7,9 +7,8 @@
 // weights follow the measured device speed
 //   w_r  <-  sample_rows_r / best_time_r   (rows per second)
 // where best_time_r is rank r's best sweep over the iterations so far.  The
-// rows are equal, so a per-sweep cost that does not scale with rows (the
-// fork/join of each rank's OpenMP team) cancels in the rate ratio instead of
-// compounding from one partition into the next.  Each iteration measures the
+// rows are equal, so a per-sweep cost that does not scale with rows cancels
+// in the rate ratio instead of compounding from one partition into the next.  Each iteration measures the
 // imbalance of the partition the weights build and stops once it is within
 // the tolerance.
 //
@@ -29,9 +28,10 @@
 namespace kpm::runtime {
 
 /// Every probe times single sweeps the way runtime::LoadBalancer does
-/// (DESIGN §5e): a barrier first, then thread CPU time, keeping the best
-/// sweep — so a descheduled rank or one waiting on a peer is not mistaken
-/// for a slow device.
+/// (DESIGN §5e): a barrier first, then the kernel work clock
+/// (sparse::KernelWorkClock), keeping the best sweep — so a rank with a
+/// descheduled thread or one waiting on a peer is not mistaken for a slow
+/// device.
 struct AutoTuneParams {
   int block_width = 8;        ///< R used for the probe sweeps
   /// Timed sweeps per probe: per iteration, on the equal-size rate sample
@@ -53,14 +53,14 @@ struct AutoTuneResult {
   RowPartition partition;            ///< partition built from the weights
   /// (max-min)/max of the per-rank sweep times measured on `partition`
   /// itself.  It can stay above the tolerance when a sweep has a fixed cost
-  /// (thread fork/join) that moving rows cannot balance.
+  /// that moving rows cannot balance.
   double imbalance = 0.0;
   int iterations = 0;                ///< rate samples taken
 };
 
 /// Collective: measures the per-rank kernel speed on `global` and returns
 /// weights proportional to it.  The speed of rank r is rows per second on
-/// an equal-size row block, from its best thread-CPU sweep time behind a
+/// an equal-size row block, from its best kernel-work sweep time behind a
 /// barrier over all iterations run; `imbalance` is measured on the final
 /// partition.  Deterministic across ranks (times are allreduced, so every
 /// rank selects the same weights).

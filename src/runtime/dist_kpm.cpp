@@ -6,7 +6,6 @@
 #include "sparse/kpm_kernels.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
-#include "util/timer.hpp"
 
 namespace kpm::runtime {
 
@@ -117,14 +116,17 @@ DistMomentsResult distributed_moments_impl(
     } else {
       // Align the ranks before timing: a slow peer's tail from the previous
       // sweep is absorbed here, *outside* the timed region.  The sweep is
-      // measured in *thread CPU time*, not wall clock: blocking on a peer's
-      // halo message and losing the core to an oversubscribed host both
-      // distort wall clock toward the worst rank's time, destroying the
-      // per-rank rate signal the balancer feeds on (util/timer.hpp).
+      // measured on the kernel work clock, not wall clock: blocking on a
+      // peer's halo message and losing a core to an oversubscribed host
+      // both distort wall clock toward the worst rank's time, destroying
+      // the per-rank rate signal the balancer feeds on.  The clock counts
+      // each team thread's CPU time over its own rows only, so neither the
+      // halo wait nor a descheduled team thread enters it
+      // (sparse/kpm_kernels.hpp).
       comm.barrier();
-      const double t0 = Timer::thread_cpu_now();
+      const sparse::KernelWorkClock clock;
       fused_step(scalars);
-      balancer.record_sweep(comm.rank(), Timer::thread_cpu_now() - t0);
+      balancer.record_sweep(comm.rank(), clock.seconds());
     }
     out.halo_bytes_sent += dist.send_bytes_per_exchange(width);
     out.message_rounds += 1;
@@ -221,9 +223,9 @@ DistMomentsResult distributed_moments_impl(
           body();
         } else {
           comm.barrier();
-          const double t0 = Timer::thread_cpu_now();
+          const sparse::KernelWorkClock clock;
           body();
-          balancer.record_sweep(comm.rank(), Timer::thread_cpu_now() - t0);
+          balancer.record_sweep(comm.rank(), clock.seconds());
         }
         if (t == 0) {
           out.halo_bytes_sent += dist.send_bytes_per_round(width);

@@ -19,7 +19,6 @@
 #include "sparse/kpm_kernels.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
-#include "util/timer.hpp"
 
 namespace kpm::runtime {
 namespace {
@@ -645,7 +644,7 @@ void ElasticRuntime::solve(Ctx& ctx) {
       const int steps = std::min(opts_.chunk_sweeps, ctx.epoch_limit - cur);
       const int w2 = 2 * steps;
       std::vector<double> ceta(static_cast<std::size_t>(width) * w2, 0.0);
-      const double t0 = Timer::thread_cpu_now();
+      const sparse::KernelWorkClock clock;
       double factor = 1.0;
       for (int k = 0; k < steps; ++k) {
         const int s = cur + k;
@@ -712,7 +711,7 @@ void ElasticRuntime::solve(Ctx& ctx) {
               dwv[static_cast<std::size_t>(c)].real();
         }
       }
-      double spent = Timer::thread_cpu_now() - t0;
+      double spent = clock.seconds();
       if (factor > 1.0) {
         // Simulated straggler: sleep the excess in *wall* time (so the
         // shadow can genuinely win the race to the commit) and report the

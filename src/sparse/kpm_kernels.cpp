@@ -14,9 +14,12 @@
 #include "util/aligned.hpp"
 #include "util/check.hpp"
 #include "util/schedule.hpp"
+#include "util/timer.hpp"
 
 namespace kpm::sparse {
 namespace {
+
+thread_local KernelWorkClock* current_work_clock = nullptr;
 
 #ifndef _OPENMP
 inline int omp_get_max_threads() { return 1; }
@@ -706,8 +709,10 @@ void run_block_kernel(int width,
   DotPartials partials(WithDots ? width : 0);
   global_index total = 0;
   for (const auto& seg : segments) total += seg.end - seg.begin;
+  KernelWorkClock* const clock = KernelWorkClock::current();
   dispatch_lanes(width, [&](auto wt) {
-#pragma omp parallel
+    double slowest = 0.0;
+#pragma omp parallel reduction(max : slowest)
     {
       // Heap scratch per thread: runtime-width accumulators (split re/im per
       // lane) + dot partials.
@@ -719,6 +724,7 @@ void run_block_kernel(int width,
 
       const auto mine = static_chunk<global_index>(
           0, total, omp_get_thread_num(), omp_get_num_threads());
+      const double t0 = clock ? Timer::thread_cpu_now() : 0.0;
       global_index pos = 0;  // running start of this segment in position space
       for (const auto& seg : segments) {
         if (pos >= mine.end) break;
@@ -730,6 +736,7 @@ void run_block_kernel(int width,
         run_pass(wt, seg.begin + (lo - (pos - len)),
                  seg.begin + (hi - (pos - len)), lvv, lwr, lwi, acc);
       }
+      if (clock) slowest = Timer::thread_cpu_now() - t0;
       if constexpr (WithDots) {
         partials.store(lvv, lwr, lwi);
 #pragma omp barrier
@@ -737,6 +744,7 @@ void run_block_kernel(int width,
         partials.reduce_into(dot_vv, dot_wv);
       }
     }
+    if (clock) clock->add(slowest);
   });
 }
 
@@ -967,6 +975,16 @@ void aug_spmv_sell_core(const SellMatrix& a, const AugScalars& scal,
 }
 
 }  // namespace
+
+KernelWorkClock::KernelWorkClock() noexcept : outer_(current_work_clock) {
+  current_work_clock = this;
+}
+
+KernelWorkClock::~KernelWorkClock() { current_work_clock = outer_; }
+
+KernelWorkClock* KernelWorkClock::current() noexcept {
+  return current_work_clock;
+}
 
 void aug_spmv(const CrsMatrix& a, const AugScalars& s,
               std::span<const complex_t> v, std::span<complex_t> w,

@@ -82,6 +82,34 @@ void aug_spmv(const SellMatrix& a, const AugScalars& s,
               std::span<const complex_t> v, std::span<complex_t> w,
               complex_t* dot_vv, complex_t* dot_wv);
 
+/// Work clock of the block kernels: the sweep timer of the load balancer,
+/// the elastic runtime and the weight probe (DESIGN §5e).  While a clock is
+/// alive on a thread, every block-kernel call made from that thread adds
+/// the thread-CPU seconds of its slowest team thread over that thread's own
+/// rows.  Fork/join, the dot barrier and time a team thread spends
+/// descheduled are not counted.  The calling thread's CPU clock around the
+/// call would count its spin at the join barrier while a team thread is
+/// descheduled, so a loaded host would look like a slow device.  Clocks
+/// nest; a call counts on the innermost one.
+class KernelWorkClock {
+ public:
+  KernelWorkClock() noexcept;
+  ~KernelWorkClock();
+  KernelWorkClock(const KernelWorkClock&) = delete;
+  KernelWorkClock& operator=(const KernelWorkClock&) = delete;
+
+  /// Kernel work seconds counted since construction.
+  [[nodiscard]] double seconds() const noexcept { return seconds_; }
+  /// The innermost clock alive on the calling thread, or nullptr.
+  [[nodiscard]] static KernelWorkClock* current() noexcept;
+  /// Adds one kernel call's slowest-thread seconds (the kernels call this).
+  void add(double s) noexcept { seconds_ += s; }
+
+ private:
+  KernelWorkClock* outer_;
+  double seconds_ = 0.0;
+};
+
 // Dot-output contract of the block kernels: the full-sweep aug_spmmv()
 // overloads OVERWRITE `dot_vv`/`dot_wv` (they are zero-filled before the
 // sweep), whereas the partial-sweep aug_spmmv_runs() ACCUMULATES into them

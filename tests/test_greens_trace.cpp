@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <numbers>
 #include <utility>
 #include <vector>
 
@@ -175,6 +176,41 @@ TEST(Trace, PartitionFunctionMatchesExactSpectrum) {
   }
 }
 
+// The functions the default-kernel and stochastic tests reconstruct.
+std::vector<std::pair<const char*, std::function<double(double)>>>
+trace_cases() {
+  return {
+      {"E", [](double e) { return e; }},
+      {"E^2", [](double e) { return e * e; }},
+      {"exp(-0.1 E)", [](double e) { return std::exp(-0.1 * e); }},
+      {"exp(-0.5 E)", [](double e) { return std::exp(-0.5 * e); }},
+      {"exp(-E)", [](double e) { return std::exp(-e); }},
+  };
+}
+
+TEST(Trace, JacksonReconstructionWithinKernelBias) {
+  // The default (Jackson) kernel damps moment m by g_m, and
+  // 0 <= 1 - g_m <= (pi m / (M + 1))^2 / 2.  With |mu_m| <= 1 the damped
+  // tr[f(H)] = N sum_m (2 - delta_m0) g_m mu_m c_m is therefore within
+  // N sum_{m>=1} (pi m / (M + 1))^2 |c_m| of the exact trace.
+  const auto& st = setup();
+  const int order = 128;
+  const double n = static_cast<double>(st.h.nrows());
+  const auto mu = exact_moments(st, order);
+  for (const auto& [name, f] : trace_cases()) {
+    const auto c = chebyshev_coefficients(f, st.s, order);
+    double bias = 0.0;
+    for (int m = 1; m < order; ++m) {
+      const double q = std::numbers::pi * m / (order + 1.0);
+      bias += q * q * std::abs(c[static_cast<std::size_t>(m)]);
+    }
+    const double exact = exact_trace(st, f);
+    EXPECT_NEAR(trace_function(mu, st.s, n, f), exact,
+                n * bias + 1e-9 * std::abs(exact))
+        << name;
+  }
+}
+
 TEST(Trace, StochasticEstimatesWithinVarianceBoundAcrossSeeds) {
   // With R phase vectors of entries e^{i phi}/sqrt(N), the estimate of
   // tr[A] is (N/R) sum_r <r|A|r>, whose variance is sum_{i!=j} |A_ij|^2 / R
@@ -195,14 +231,7 @@ TEST(Trace, StochasticEstimatesWithinVarianceBoundAcrossSeeds) {
     mp.seed = seed;
     mu_by_seed.push_back(moments_aug_spmmv(st.h, st.s, mp).mu);
   }
-  const std::pair<const char*, std::function<double(double)>> cases[] = {
-      {"E", [](double e) { return e; }},
-      {"E^2", [](double e) { return e * e; }},
-      {"exp(-0.1 E)", [](double e) { return std::exp(-0.1 * e); }},
-      {"exp(-0.5 E)", [](double e) { return std::exp(-0.5 * e); }},
-      {"exp(-E)", [](double e) { return std::exp(-e); }},
-  };
-  for (const auto& [name, f] : cases) {
+  for (const auto& [name, f] : trace_cases()) {
     std::vector<double> f_k;
     for (const double e : eig.eigenvalues) f_k.push_back(f(e));
     double off_diagonal = 0.0;

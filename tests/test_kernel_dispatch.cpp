@@ -578,6 +578,33 @@ TEST(KernelDispatch, RowIntervalKernelComposesToFullSweep) {
   }
 }
 
+TEST(KernelDispatch, WorkClockCountsOnTheInnermostClockOnly) {
+  const auto& a = matrix();
+  const int width = 8;
+  EXPECT_EQ(sparse::KernelWorkClock::current(), nullptr);
+  const auto plain = run_sweep(a, width);
+  const sparse::KernelWorkClock outer;
+  EXPECT_EQ(sparse::KernelWorkClock::current(), &outer);
+  {
+    const sparse::KernelWorkClock inner;
+    EXPECT_EQ(sparse::KernelWorkClock::current(), &inner);
+    const auto timed = run_sweep(a, width);
+    EXPECT_GT(inner.seconds(), 0.0);
+    // Timing does not touch the arithmetic.
+    EXPECT_TRUE(bitwise_equal(plain.w, timed.w));
+    EXPECT_TRUE(bitwise_equal(plain.dvv, timed.dvv));
+    EXPECT_TRUE(bitwise_equal(plain.dwv, timed.dwv));
+  }
+  EXPECT_EQ(sparse::KernelWorkClock::current(), &outer);
+  EXPECT_EQ(outer.seconds(), 0.0);
+  // A dot-free partial sweep counts too.
+  auto w = block(a.nrows(), width, 0.5);
+  sparse::aug_spmmv_runs(a, sparse::AugScalars::recurrence(0.3, 0.0),
+                         block(a.ncols(), width, 0.0), w,
+                         one_run(0, a.nrows() / 2), {}, {});
+  EXPECT_GT(outer.seconds(), 0.0);
+}
+
 TEST(KernelDispatch, DotSpansMustNotAliasVectors) {
   const auto& a = matrix();
   const int width = 4;
