@@ -92,7 +92,7 @@ inline double measure_naive_gflops(const sparse::CrsMatrix& h,
 /// Standard bench-header line for the matrix's block structure: the block
 /// fill ratio beta for b in {2, 4, 8} (DESIGN §5f).  A block format streams
 /// (Sd' + Si')/beta bytes per nonzero, so this line is the record of why a
-/// BSR/SELL-block run was or wasn't profitable on this matrix.
+/// BSR run was or wasn't profitable on this matrix.
 inline void print_block_structure(const sparse::CrsMatrix& h) {
   std::printf("block structure: beta(2x2) = %.4f, beta(4x4) = %.4f, "
               "beta(8x8) = %.4f\n",

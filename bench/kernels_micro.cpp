@@ -7,9 +7,9 @@
 // widths x formats x thread counts and writes it to
 // BENCH_kernels.json (override the path with KPM_BENCH_JSON), so successive
 // PRs leave a perf trajectory.  The format axis covers the scalar layouts
-// (crs, sell), the block layouts of DESIGN §5f (bsr4, bsr4-f32,
-// sellb4-f32 — 4x4 blocks, 16-bit delta indices where they fit, optional
-// float32 values with float64 accumulators), and the matrix-free stencil of
+// (crs, sell), the block layout of DESIGN §5f (bsr4, bsr4-f32 — 4x4
+// blocks, 16-bit delta indices where they fit, optional float32 values
+// with float64 accumulators), and the matrix-free stencil of
 // §5h (stencil — no per-nonzero stream, index_bits 0); every record carries
 // "index_bits" and "value_precision" so the trajectory explains *which*
 // storage stream was measured.  A dedicated same-run head-to-head records
@@ -46,7 +46,6 @@
 #include "sparse/kpm_kernels.hpp"
 #include "sparse/matrix_stats.hpp"
 #include "sparse/sell.hpp"
-#include "sparse/sell_block.hpp"
 #include "sparse/spmv.hpp"
 #include "sparse/stencil.hpp"
 #include "util/env.hpp"
@@ -79,11 +78,6 @@ const sparse::BsrMatrix& bsr_matrix() {
 
 const sparse::BsrMatrix& bsr_matrix_f32() {
   static const sparse::BsrMatrix m(matrix(), 4, sparse::MatrixPrecision::f32);
-  return m;
-}
-
-const sparse::SellBlockMatrix& sell_block_matrix_f32() {
-  static const sparse::SellBlockMatrix m(bsr_matrix_f32(), 8, 32);
   return m;
 }
 
@@ -268,8 +262,8 @@ struct SweepRecord {
 /// variant of the cell) is a like-for-like ratio no matter when the bench
 /// ran.  Per-variant seconds are best-of over the rounds as before.
 ///
-/// Variants select legacy / dispatch.  The block formats (bsr4*, sellb4*)
-/// and the stencil have no legacy variant — they did not exist before the
+/// Variants select legacy / dispatch.  The block formats (bsr4*) and the
+/// stencil have no legacy variant — they did not exist before the
 /// dispatch machinery.
 std::vector<SweepRecord> time_cell(const char* format,
                                    const std::vector<const char*>& variants,
@@ -306,8 +300,6 @@ std::vector<SweepRecord> time_cell(const char* format,
       sparse::aug_spmmv(bsr_matrix(), rec, v, w, dvv, dwv);
     } else if (fmt == "bsr4-f32") {
       sparse::aug_spmmv(bsr_matrix_f32(), rec, v, w, dvv, dwv);
-    } else if (fmt == "sellb4-f32") {
-      sparse::aug_spmmv(sell_block_matrix_f32(), rec, v, w, dvv, dwv);
     } else if (fmt == "stencil") {
       sparse::aug_spmmv(stencil_operator(), rec, v, w, dvv, dwv);
     } else {
@@ -353,11 +345,6 @@ std::vector<SweepRecord> time_cell(const char* format,
     matrix_bytes = b.storage_bytes();
     index_bits = b.index_bits();
     precision = sparse::precision_name(b.precision());
-  } else if (fmt == "sellb4-f32") {
-    const auto& sb = sell_block_matrix_f32();
-    matrix_bytes = sb.storage_bytes();
-    index_bits = sb.index_bits();
-    precision = sparse::precision_name(sb.precision());
   } else if (fmt == "stencil") {
     // No per-nonzero stream at all: the stored bytes are the term table,
     // the diagonal, and the boundary entry lists.
@@ -460,7 +447,7 @@ void run_sweep_and_write_json(bool smoke) {
   const std::vector<const char*> formats =
       smoke ? std::vector<const char*>{"crs", "bsr4", "bsr4-f32", "stencil"}
             : std::vector<const char*>{"crs", "sell", "bsr4", "bsr4-f32",
-                                       "sellb4-f32", "stencil"};
+                                       "stencil"};
   const int primary_threads = max_threads();
   // Thread-scaling sweep {1, 2, 4, max}, clipped to the machine, over a
   // reduced width grid.
@@ -524,7 +511,7 @@ void run_sweep_and_write_json(bool smoke) {
     if (f == "crs" && std::string(r.variant) == "dispatch") {
       crs32_seconds = r.seconds;
     }
-    if (f.rfind("bsr", 0) == 0 || f.rfind("sellb", 0) == 0) {
+    if (f.rfind("bsr", 0) == 0) {
       if (best_block32 == nullptr || r.seconds < best_block32->seconds) {
         best_block32 = &r;
       }

@@ -275,12 +275,6 @@ MomentsResult moments_aug_spmmv(const sparse::BsrMatrix& h,
   return moments_via_session(h, s, p);
 }
 
-MomentsResult moments_aug_spmmv(const sparse::SellBlockMatrix& h,
-                                const physics::Scaling& s,
-                                const MomentParams& p) {
-  return moments_via_session(h, s, p);
-}
-
 std::vector<double> moments_of_vector(const sparse::CrsMatrix& h,
                                       const physics::Scaling& s,
                                       std::span<const complex_t> v0,

@@ -20,7 +20,6 @@
 #include "sparse/bsr.hpp"
 #include "sparse/crs.hpp"
 #include "sparse/sell.hpp"
-#include "sparse/sell_block.hpp"
 #include "sparse/stencil.hpp"
 #include "util/random.hpp"
 #include "util/types.hpp"
@@ -74,13 +73,10 @@ struct MomentsResult {
 [[nodiscard]] MomentsResult moments_aug_spmmv(const sparse::SellMatrix& h,
                                               const physics::Scaling& s,
                                               const MomentParams& p);
-/// Block-format variants (DESIGN.md §5f): same pipeline on BSR / SELL-block
-/// storage, including the mixed-precision (f32-value) matrix path — the
+/// Block-format variant (DESIGN.md §5f): same pipeline on BSR storage,
+/// including the mixed-precision (f32-value) matrix path — the
 /// random-vector streams and accumulator precision are unchanged.
 [[nodiscard]] MomentsResult moments_aug_spmmv(const sparse::BsrMatrix& h,
-                                              const physics::Scaling& s,
-                                              const MomentParams& p);
-[[nodiscard]] MomentsResult moments_aug_spmmv(const sparse::SellBlockMatrix& h,
                                               const physics::Scaling& s,
                                               const MomentParams& p);
 /// Matrix-free stencil variant (DESIGN.md §5h): runs on the same
@@ -97,7 +93,7 @@ struct MomentsResult {
     std::span<const complex_t> v0, int num_moments);
 
 /// Block version: one prescribed start vector per block column.  Accepts any
-/// sweepable operator (CRS, BSR, SELL-block, stencil) via OperatorRef.
+/// sweepable operator (CRS, BSR, stencil) via OperatorRef.
 [[nodiscard]] std::vector<std::vector<double>> moments_of_block(
     OperatorRef h, const physics::Scaling& s, const blas::BlockVector& v0,
     int num_moments);

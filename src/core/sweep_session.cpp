@@ -17,8 +17,6 @@ global_index OperatorRef::nrows() const noexcept {
   switch (kind_) {
     case Kind::crs: return static_cast<const sparse::CrsMatrix*>(p_)->nrows();
     case Kind::bsr: return static_cast<const sparse::BsrMatrix*>(p_)->nrows();
-    case Kind::sell_block:
-      return static_cast<const sparse::SellBlockMatrix*>(p_)->nrows();
     case Kind::stencil:
       return static_cast<const sparse::StencilOperator*>(p_)->nrows();
   }
@@ -29,8 +27,6 @@ global_index OperatorRef::ncols() const noexcept {
   switch (kind_) {
     case Kind::crs: return static_cast<const sparse::CrsMatrix*>(p_)->ncols();
     case Kind::bsr: return static_cast<const sparse::BsrMatrix*>(p_)->ncols();
-    case Kind::sell_block:
-      return static_cast<const sparse::SellBlockMatrix*>(p_)->ncols();
     case Kind::stencil:
       return static_cast<const sparse::StencilOperator*>(p_)->ncols();
   }
@@ -41,8 +37,6 @@ global_index OperatorRef::nnz() const noexcept {
   switch (kind_) {
     case Kind::crs: return static_cast<const sparse::CrsMatrix*>(p_)->nnz();
     case Kind::bsr: return static_cast<const sparse::BsrMatrix*>(p_)->nnz();
-    case Kind::sell_block:
-      return static_cast<const sparse::SellBlockMatrix*>(p_)->nnz();
     case Kind::stencil:
       return static_cast<const sparse::StencilOperator*>(p_)->nnz();
   }
@@ -130,21 +124,6 @@ std::uint64_t operator_fingerprint(OperatorRef h, const physics::Scaling& s) {
       for (const auto z : m.values_f32()) f.mix_complex_f32(z);
       break;
     }
-    case OperatorRef::Kind::sell_block: {
-      const auto& m = h.sell_block();
-      f.mix(static_cast<std::uint64_t>(m.block_dim()));
-      f.mix(static_cast<std::uint64_t>(m.precision()));
-      f.mix(static_cast<std::uint64_t>(m.chunk_height()));
-      f.mix(static_cast<std::uint64_t>(m.sigma()));
-      f.mix_indices(m.perm());
-      f.mix_indices(m.chunk_ptr());
-      f.mix_indices(m.chunk_len());
-      f.mix_indices(m.block_col());
-      f.mix_indices(m.block_mask());
-      for (const auto z : m.values()) f.mix_complex(z);
-      for (const auto z : m.values_f32()) f.mix_complex_f32(z);
-      break;
-    }
     case OperatorRef::Kind::stencil: {
       const auto& m = h.stencil();
       f.mix_string(m.kind());
@@ -179,10 +158,6 @@ void OperatorRef::apply(const sparse::AugScalars& s,
       sparse::aug_spmmv(*static_cast<const sparse::BsrMatrix*>(p_), s, v, w,
                         dot_vv, dot_wv);
       return;
-    case Kind::sell_block:
-      sparse::aug_spmmv(*static_cast<const sparse::SellBlockMatrix*>(p_), s, v,
-                        w, dot_vv, dot_wv);
-      return;
     case Kind::stencil:
       sparse::aug_spmmv(*static_cast<const sparse::StencilOperator*>(p_), s, v,
                         w, dot_vv, dot_wv);
@@ -206,18 +181,8 @@ SweepSession::SweepSession(OperatorRef h, const physics::Scaling& s,
   // not stale values (0 * NaN is NaN): reused storage is cleared, fresh
   // storage arrives zeroed.
   const bool stale = w_.reshape(v0.rows(), width);
-  if (h_.kind() == OperatorRef::Kind::sell_block) {
-    // The SELL-block kernels act in the permuted row numbering; rebind the
-    // start block once on entry (same rule as the scalar-SELL moments loop),
-    // into the |w> storage, and let the start block's storage become |w>.
-    h_.sell_block().permute(v0, w_);
-    v_ = std::move(w_);
-    w_ = std::move(v0);
-    w_.fill(complex_t{});
-  } else {
-    v_ = std::move(v0);
-    if (stale) w_.fill(complex_t{});
-  }
+  v_ = std::move(v0);
+  if (stale) w_.fill(complex_t{});
   lane_of_column_.resize(static_cast<std::size_t>(width));
   for (int r = 0; r < width; ++r) lane_of_column_[static_cast<std::size_t>(r)] = r;
   mu_.resize(static_cast<std::size_t>(width));

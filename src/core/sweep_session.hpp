@@ -34,7 +34,6 @@
 #include "sparse/bsr.hpp"
 #include "sparse/crs.hpp"
 #include "sparse/kpm_kernels.hpp"
-#include "sparse/sell_block.hpp"
 #include "sparse/stencil.hpp"
 #include "util/types.hpp"
 
@@ -47,12 +46,10 @@ namespace kpm::core {
 /// the reference (sessions and service models hold the operator elsewhere).
 class OperatorRef {
  public:
-  enum class Kind { crs, bsr, sell_block, stencil };
+  enum class Kind { crs, bsr, stencil };
 
   OperatorRef(const sparse::CrsMatrix& m) : kind_(Kind::crs), p_(&m) {}
   OperatorRef(const sparse::BsrMatrix& m) : kind_(Kind::bsr), p_(&m) {}
-  OperatorRef(const sparse::SellBlockMatrix& m)
-      : kind_(Kind::sell_block), p_(&m) {}
   OperatorRef(const sparse::StencilOperator& m)
       : kind_(Kind::stencil), p_(&m) {}
 
@@ -62,9 +59,6 @@ class OperatorRef {
   [[nodiscard]] global_index nnz() const noexcept;
 
   /// Valid only when kind() matches.
-  [[nodiscard]] const sparse::SellBlockMatrix& sell_block() const noexcept {
-    return *static_cast<const sparse::SellBlockMatrix*>(p_);
-  }
   [[nodiscard]] const sparse::CrsMatrix& crs() const noexcept {
     return *static_cast<const sparse::CrsMatrix*>(p_);
   }
@@ -89,7 +83,7 @@ class OperatorRef {
 /// with the operator that produced them.  FNV-1a over the operator kind,
 /// shape, nnz, the bit patterns of the scaling (a, b), and the FULL stored
 /// content of the operator — structure and value bits for every format
-/// (CRS rows, BSR/SELL block streams, stencil terms/diagonal/boundary) —
+/// (CRS rows, BSR block stream, stencil terms/diagonal/boundary) —
 /// so two same-shaped operators with different entries always get different
 /// prints.  The service's cache keys and the checkpoint restore guards rely
 /// on this being a content digest, not just a shape digest.
@@ -124,22 +118,18 @@ class SweepSession {
  public:
   /// Starts a fresh sweep: lane r of `v0` is the start vector |v0_r>.
   /// Requires a square operator, a row-major block, v0.rows() == h.nrows(),
-  /// and an even num_moments >= 2.  `v0` is always given in the *original*
-  /// row numbering; a SELL-block operator permutes it on entry (its kernels
-  /// act in the permuted numbering), every other format takes the block
-  /// over as |v>.  Pass an rvalue to hand the block over without a copy.
+  /// and an even num_moments >= 2.  The session takes `v0` over as |v>;
+  /// pass an rvalue to hand the block over without a copy.
   ///
   /// `w` is optional storage for |w>, of any shape and contents: it is
   /// reshaped to v0's shape (keeping its allocation when that fits) and
-  /// zeroed.  Left empty, the session allocates |w> itself.  A SELL-block
-  /// operator permutes the start block into this storage and keeps v0's
-  /// storage as |w>, so a session fed both blocks allocates none.
+  /// zeroed.  Left empty, the session allocates |w> itself; a session fed
+  /// both blocks allocates none.
   SweepSession(OperatorRef h, const physics::Scaling& s, blas::BlockVector v0,
                int num_moments, blas::BlockVector w = {});
 
-  /// Resumes from a checkpoint taken against the same operator + scaling.
-  /// Checkpoint vectors are in the operator's working numbering (already
-  /// permuted for SELL-block), exactly as checkpoint() captured them.
+  /// Resumes from a checkpoint taken against the same operator + scaling,
+  /// with the vectors exactly as checkpoint() captured them.
   SweepSession(OperatorRef h, const physics::Scaling& s,
                SweepCheckpoint state);
 

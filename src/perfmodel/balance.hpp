@@ -74,7 +74,7 @@ struct FormatSpec {
 /// Scalar CRS: 16 B value + 4 B index per nonzero, no fill.
 [[nodiscard]] FormatSpec crs_format();
 
-/// b x b block format (BSR or SELL-block): `fill` from
+/// b x b block format (BSR): `fill` from
 /// sparse::BsrMatrix::fill_ratio() or matrix_stats, `value_bytes` 16 (f64)
 /// or 8 (f32), `index_bits` 32 or 16.  The per-block index share includes
 /// the 2-byte occupancy mask the kernel streams alongside the indices.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -30,26 +31,47 @@ struct SimulatedFault : std::runtime_error {
   SimulatedFault() : std::runtime_error("elastic: injected rank failure") {}
 };
 
-// Version 002: adds the halo_depth field (communication-avoiding s-step
-// plans, DESIGN §5j).  001 checkpoints are rejected by the magic check.
-constexpr char kMagic[8] = {'K', 'P', 'M', 'E', 'L', '0', '0', '2'};
+// Version 003: ends in a checksum of every word between the magic and
+// itself, so a corrupted payload is rejected instead of restoring into
+// wrong moments.  Version 002 added the halo_depth field
+// (communication-avoiding s-step plans, DESIGN §5j).  Older checkpoints are
+// rejected by the magic check.
+constexpr char kMagic[8] = {'K', 'P', 'M', 'E', 'L', '0', '0', '3'};
 
-void put_u64(std::vector<std::byte>& b, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    b.push_back(static_cast<std::byte>((x >> (8 * i)) & 0xffu));
+/// Running checksum of the u64 words a checkpoint writes or reads, folded
+/// in as they pass, so it costs no extra pass over the bytes.  Each step
+/// (xor, multiply by an odd constant, rotate) is a bijection of the sum, so
+/// a change confined to one word always changes the result.
+struct Checksum {
+  std::uint64_t sum = 0x9e3779b97f4a7c15ull;
+  void add(std::uint64_t x) {
+    sum = std::rotl((sum ^ x) * 0xff51afd7ed558ccdull, 29);
   }
-}
+};
 
-void put_f64(std::vector<std::byte>& b, double x) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(x));
-  std::memcpy(&bits, &x, sizeof(bits));
-  put_u64(b, bits);
-}
+/// Appends little-endian words to a checkpoint buffer.
+struct Writer {
+  std::vector<std::byte>& buf;
+  Checksum check;
+
+  void u64(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      buf.push_back(static_cast<std::byte>((x >> (8 * i)) & 0xffu));
+    }
+    check.add(x);
+  }
+  void f64(double x) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(x));
+    std::memcpy(&bits, &x, sizeof(bits));
+    u64(bits);
+  }
+};
 
 struct Cursor {
   const std::byte* p;
   std::size_t left;
+  Checksum check;
 
   const std::byte* raw(std::size_t n) {
     require(left >= n, "elastic checkpoint: truncated file");
@@ -65,6 +87,7 @@ struct Cursor {
       x |= static_cast<std::uint64_t>(std::to_integer<unsigned>(b[i]))
            << (8 * i);
     }
+    check.add(x);
     return x;
   }
   double f64() {
@@ -251,6 +274,9 @@ ElasticResult ElasticRuntime::run(int initial_ranks) {
       ev.offsets.resize(c.count(8));
       for (auto& o : ev.offsets) o = static_cast<global_index>(c.u64());
     }
+    const std::uint64_t sum = c.check.sum;
+    require(c.u64() == sum && c.left == 0,
+            "ElasticRuntime: checkpoint checksum mismatch (corrupted file)");
     // Membership events the restored frontier already passed had their
     // repartition baked into the checkpointed partition/schedule; re-firing
     // them would repartition a second time and diverge from the
@@ -300,9 +326,9 @@ void ElasticRuntime::write_checkpoint_locked(Ctx& ctx) const {
   // Sized for this run's last checkpoint (every lane's eta at num_moments)
   // under the current partition and schedule, so the buffer is reserved
   // once and later chunks rewrite it in place; a membership change that
-  // lengthens the schedule grows it once more.  13 fixed words: the magic,
-  // ten header fields, and the rate and schedule counts.
-  std::size_t bytes = 8 * (13 + ctx.part.offsets().size() + ctx.rates.size() +
+  // lengthens the schedule grows it once more.  14 fixed words: the magic,
+  // ten header fields, the rate and schedule counts, and the checksum.
+  std::size_t bytes = 8 * (14 + ctx.part.offsets().size() + ctx.rates.size() +
                            static_cast<std::size_t>(width) * p_.num_moments) +
                       2 * static_cast<std::size_t>(n) * width * 16;
   for (const auto& ev : ctx.report.schedule) {
@@ -313,40 +339,42 @@ void ElasticRuntime::write_checkpoint_locked(Ctx& ctx) const {
   buf.reserve(bytes);
   buf.assign(reinterpret_cast<const std::byte*>(kMagic),
              reinterpret_cast<const std::byte*>(kMagic) + 8);
-  put_u64(buf, ctx.fp);
-  put_u64(buf, stencil_ != nullptr ? 1u : 0u);
-  put_u64(buf, static_cast<std::uint64_t>(opts_.halo_depth));
-  put_u64(buf, static_cast<std::uint64_t>(p_.num_moments));
-  put_u64(buf, static_cast<std::uint64_t>(width));
-  put_u64(buf, p_.seed);
-  put_u64(buf, static_cast<std::uint64_t>(p_.vector_kind));
-  put_u64(buf, static_cast<std::uint64_t>(ctx.next_sweep));
-  put_u64(buf, static_cast<std::uint64_t>(n));
-  put_u64(buf, static_cast<std::uint64_t>(ctx.part.ranks()));
+  Writer out{buf};
+  out.u64(ctx.fp);
+  out.u64(stencil_ != nullptr ? 1u : 0u);
+  out.u64(static_cast<std::uint64_t>(opts_.halo_depth));
+  out.u64(static_cast<std::uint64_t>(p_.num_moments));
+  out.u64(static_cast<std::uint64_t>(width));
+  out.u64(p_.seed);
+  out.u64(static_cast<std::uint64_t>(p_.vector_kind));
+  out.u64(static_cast<std::uint64_t>(ctx.next_sweep));
+  out.u64(static_cast<std::uint64_t>(n));
+  out.u64(static_cast<std::uint64_t>(ctx.part.ranks()));
   for (const global_index o : ctx.part.offsets()) {
-    put_u64(buf, static_cast<std::uint64_t>(o));
+    out.u64(static_cast<std::uint64_t>(o));
   }
-  put_u64(buf, static_cast<std::uint64_t>(ctx.rates.size()));
-  for (const double r : ctx.rates) put_f64(buf, r);
+  out.u64(static_cast<std::uint64_t>(ctx.rates.size()));
+  for (const double r : ctx.rates) out.f64(r);
   for (const auto& lane : ctx.eta) {
-    for (const double x : lane) put_f64(buf, x);
+    for (const double x : lane) out.f64(x);
   }
   for (const auto* b : {&ctx.v, &ctx.w}) {
     for (global_index i = 0; i < n; ++i) {
       for (int r = 0; r < width; ++r) {
-        put_f64(buf, (*b)(i, r).real());
-        put_f64(buf, (*b)(i, r).imag());
+        out.f64((*b)(i, r).real());
+        out.f64((*b)(i, r).imag());
       }
     }
   }
-  put_u64(buf, static_cast<std::uint64_t>(ctx.report.schedule.size()));
+  out.u64(static_cast<std::uint64_t>(ctx.report.schedule.size()));
   for (const auto& ev : ctx.report.schedule) {
-    put_u64(buf, static_cast<std::uint64_t>(ev.sweep));
-    put_u64(buf, static_cast<std::uint64_t>(ev.offsets.size()));
+    out.u64(static_cast<std::uint64_t>(ev.sweep));
+    out.u64(static_cast<std::uint64_t>(ev.offsets.size()));
     for (const global_index o : ev.offsets) {
-      put_u64(buf, static_cast<std::uint64_t>(o));
+      out.u64(static_cast<std::uint64_t>(o));
     }
   }
+  out.u64(out.check.sum);
   const std::string tmp = opts_.checkpoint_path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   require(f != nullptr, "ElasticRuntime: cannot open checkpoint tmp file");

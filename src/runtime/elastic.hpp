@@ -15,7 +15,8 @@
 //     the balancer's smoothed per-rank rates, and the repartition schedule)
 //     is written atomically (tmp + rename) when a checkpoint path is
 //     configured.  A restore is fingerprint-checked against the operator
-//     + scaling (core::operator_fingerprint) and rejected on mismatch; a
+//     + scaling (core::operator_fingerprint) and rejected on mismatch, and
+//     a file whose bytes fail its trailing checksum is rejected too; a
 //     resumed solve reproduces the uninterrupted moments bit for bit
 //     (chunked eta reduction is element-wise over the same fixed tree as
 //     one at_end reduction).

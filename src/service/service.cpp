@@ -217,18 +217,6 @@ void KpmService::register_model(const std::string& key, sparse::BsrMatrix h,
 }
 
 void KpmService::register_model(const std::string& key,
-                                sparse::SellBlockMatrix h,
-                                std::optional<physics::Scaling> scaling) {
-  require(!key.empty(), "register_model: empty model key");
-  require(h.nrows() == h.ncols(), "register_model: matrix must be square");
-  const physics::Scaling s =
-      scaling.has_value()
-          ? *scaling
-          : physics::make_scaling(physics::lanczos_bounds(h.to_crs()));
-  register_operator(key, std::move(h), s);
-}
-
-void KpmService::register_model(const std::string& key,
                                 sparse::StencilOperator h,
                                 physics::Scaling scaling) {
   require(!key.empty(), "register_model: empty model key");

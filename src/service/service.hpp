@@ -59,7 +59,6 @@
 #include "service/result_cache.hpp"
 #include "sparse/bsr.hpp"
 #include "sparse/crs.hpp"
-#include "sparse/sell_block.hpp"
 #include "sparse/stencil.hpp"
 #include "util/random.hpp"
 
@@ -204,17 +203,15 @@ class KpmService {
   /// retire, and cached spectra of the old registration become unreachable
   /// (their keys carry the old fingerprint) rather than silently stale.
   ///
-  /// Any sweepable format may be registered: the fastest assembled block
-  /// formats (BSR / SELL-block, DESIGN §5f) and the matrix-free stencil
-  /// (§5h) serve coalesced batches exactly like CRS — the job bits follow
-  /// the registered operator's kernel.  Block formats without an explicit
-  /// scaling derive it from Lanczos bounds on their to_crs() expansion; a
-  /// stencil has no assembled matrix to iterate, so its scaling is required.
+  /// Any sweepable format may be registered: the assembled block format
+  /// (BSR, DESIGN §5f) and the matrix-free stencil (§5h) serve coalesced
+  /// batches exactly like CRS — the job bits follow the registered
+  /// operator's kernel.  BSR without an explicit scaling derives it from
+  /// Lanczos bounds on its to_crs() expansion; a stencil has no assembled
+  /// matrix to iterate, so its scaling is required.
   void register_model(const std::string& key, sparse::CrsMatrix h,
                       std::optional<physics::Scaling> scaling = std::nullopt);
   void register_model(const std::string& key, sparse::BsrMatrix h,
-                      std::optional<physics::Scaling> scaling = std::nullopt);
-  void register_model(const std::string& key, sparse::SellBlockMatrix h,
                       std::optional<physics::Scaling> scaling = std::nullopt);
   void register_model(const std::string& key, sparse::StencilOperator h,
                       physics::Scaling scaling);
@@ -248,7 +245,7 @@ class KpmService {
  private:
   using OperatorStore =
       std::variant<sparse::CrsMatrix, sparse::BsrMatrix,
-                   sparse::SellBlockMatrix, sparse::StencilOperator>;
+                   sparse::StencilOperator>;
   struct Model {
     OperatorStore h;
     physics::Scaling scaling;

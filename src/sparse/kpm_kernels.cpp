@@ -404,8 +404,8 @@ void sell_pass(const SellMatrix& a, const ScalarsRI& s,
 // VT is the stored value part type (double or float — accumulation is
 // always double), D16 selects the 16-bit delta column decode.
 
-template <class VT, class Matrix>
-const VT* block_values(const Matrix& a) noexcept {
+template <class VT>
+const VT* block_values(const BsrMatrix& a) noexcept {
   if constexpr (std::is_same_v<VT, double>) {
     return re_im(a.values().data());
   } else {
@@ -420,16 +420,15 @@ const VT* block_values(const Matrix& a) noexcept {
 /// formats, so the per-lane contract extends to the block formats.
 ///
 /// Entries that are exactly zero — the explicit fill of a half-dense block
-/// (1 - beta of the stored values) and the SELL-block chunk padding — must
-/// not execute: a +-0 entry contributes nothing numerically, but the fill
-/// would inflate the work by 1/beta (~2.2x on the TI matrix) and push the
-/// kernel from bandwidth- to compute-bound.  Instead of testing entries
-/// for zero, the walk extracts row ib's bits of the precomputed per-block
-/// occupancy word (BsrMatrix::block_mask; bit e = jb*B + ib, column-major)
-/// and iterates the survivors with countr_zero — useful entries only, and
-/// an all-zero padding block exits immediately.  Ascending set bits give
-/// ascending jb, so per output row the multiply-accumulate order is the
-/// scalar-CRS column order and the results stay bitwise identical.
+/// (1 - beta of the stored values) — must not execute: a +-0 entry
+/// contributes nothing numerically, but the fill would inflate the work by
+/// 1/beta (~2.2x on the TI matrix) and push the kernel from bandwidth- to
+/// compute-bound.  Instead of testing entries for zero, the walk extracts
+/// row ib's bits of the precomputed per-block occupancy word
+/// (BsrMatrix::block_mask; bit e = jb*B + ib, column-major) and iterates
+/// the survivors with countr_zero — useful entries only.  Ascending set
+/// bits give ascending jb, so per output row the multiply-accumulate order
+/// is the scalar-CRS column order and the results stay bitwise identical.
 template <int B, class VT, class W>
 inline void block_mac_row(RowAcc<W>& acc, int lanes,
                           const VT* __restrict__ blk, std::uint16_t mask,
@@ -581,58 +580,6 @@ void stencil_pass(const StencilOperator& a, const ScalarsRI& s,
         const std::size_t base = static_cast<std::size_t>(i) * lanes;
         acc.template finish<WithDots>(s, vd + 2 * base, wd + 2 * base, lvv,
                                       lwr, lwi);
-      }
-    }
-  }
-}
-
-// The SELL-block chunk loop over [chunk_begin, chunk_end); padding blocks
-// cost nothing via mask 0.  Same ib-outer structure as bsr_pass: one output
-// row's accumulators stay in registers across the lane's whole block walk.
-template <int B, class VT, bool D16, class W, bool WithDots>
-void sell_block_pass(const SellBlockMatrix& a, const ScalarsRI& s,
-                     const double* __restrict__ vd, double* __restrict__ wd,
-                     global_index chunk_begin, global_index chunk_end, W wt,
-                     double* __restrict__ lvv, double* __restrict__ lwr,
-                     double* __restrict__ lwi, double* acc_scratch) {
-  const int lanes = wt.get();
-  const int chunk = a.chunk_height();
-  const global_index nbr = a.block_rows();
-  const auto* __restrict__ cptr = a.chunk_ptr().data();
-  const auto* __restrict__ clen = a.chunk_len().data();
-  const auto* __restrict__ bcol = a.block_col().data();
-  const auto* __restrict__ first =
-      D16 ? a.first_block_col().data() : nullptr;
-  const auto* __restrict__ delta = D16 ? a.col_delta16().data() : nullptr;
-  const auto* __restrict__ bmask = a.block_mask().data();
-  const VT* __restrict__ vald = block_values<VT>(a);
-  RowAcc<W> acc(wt, acc_scratch);
-  for (global_index c = chunk_begin; c < chunk_end; ++c) {
-    const global_index base = cptr[c];
-    const int rows_in_chunk =
-        static_cast<int>(std::min<global_index>(chunk, nbr - c * chunk));
-    for (int lane = 0; lane < rows_in_chunk; ++lane) {
-      const global_index br = c * chunk + lane;
-      for (int ib = 0; ib < B; ++ib) {
-        acc.zero();
-        local_index bc = D16 ? first[br] : 0;
-        for (local_index j = 0; j < clen[c]; ++j) {
-          const global_index moff =
-              base + static_cast<global_index>(j) * chunk + lane;
-          if constexpr (D16) {
-            bc += static_cast<local_index>(delta[moff]);
-          } else {
-            bc = bcol[moff];
-          }
-          const VT* __restrict__ blk =
-              vald + 2 * static_cast<std::size_t>(moff) * B * B;
-          block_mac_row<B, VT>(acc, lanes, blk, bmask[moff], ib, vd,
-                               static_cast<std::size_t>(bc) * B);
-        }
-        const std::size_t base_w =
-            (static_cast<std::size_t>(br) * B + ib) * lanes;
-        acc.template finish<WithDots>(s, vd + 2 * base_w, wd + 2 * base_w,
-                                      lvv, lwr, lwi);
       }
     }
   }
@@ -838,30 +785,6 @@ void aug_spmmv_stencil_core_runs(
               a, s, vd, wd, rb, re, wt, lvv, lwr, lwi, acc);
         });
   });
-}
-
-template <bool WithDots>
-void aug_spmmv_sell_block_core(const SellBlockMatrix& a,
-                               const AugScalars& scal, const complex_t* v,
-                               complex_t* w, int width, complex_t* dot_vv,
-                               complex_t* dot_wv) {
-  const ScalarsRI s(scal);
-  const double* vd = re_im(v);
-  double* wd = re_im(w);
-  dispatch_block_format(
-      a.block_dim(), a.precision() == MatrixPrecision::f32,
-      a.index_bits() == 16, [&](auto bb, auto vt, auto d16) {
-        constexpr int B = decltype(bb)::value;
-        using VT = typename decltype(vt)::type;
-        run_block_kernel<WithDots>(
-            width, 0, a.num_chunks(), dot_vv, dot_wv,
-            [&](auto wt, global_index cb, global_index ce, double* lvv,
-                double* lwr, double* lwi, double* acc) {
-              sell_block_pass<B, VT, decltype(d16)::value, decltype(wt),
-                              WithDots>(a, s, vd, wd, cb, ce, wt, lvv, lwr,
-                                        lwi, acc);
-            });
-      });
 }
 
 // ---------------------------------------------------------------------------
@@ -1098,22 +1021,6 @@ void aug_spmmv_runs(const BsrMatrix& a, const AugScalars& s,
     // Accumulate-only contract, like the CRS run-list kernel.
     aug_spmmv_bsr_core_runs<true>(a, s, v.data(), w.data(), width, runs,
                                   dot_vv.data(), dot_wv.data());
-  }
-}
-
-void aug_spmmv(const SellBlockMatrix& a, const AugScalars& s,
-               const blas::BlockVector& v, blas::BlockVector& w,
-               std::span<complex_t> dot_vv, std::span<complex_t> dot_wv) {
-  check_block(a.nrows(), a.ncols(), v, w, dot_vv, dot_wv);
-  const int width = v.width();
-  if (dot_vv.empty()) {
-    aug_spmmv_sell_block_core<false>(a, s, v.data(), w.data(), width, nullptr,
-                                     nullptr);
-  } else {
-    std::fill(dot_vv.begin(), dot_vv.end(), complex_t{});
-    std::fill(dot_wv.begin(), dot_wv.end(), complex_t{});
-    aug_spmmv_sell_block_core<true>(a, s, v.data(), w.data(), width,
-                                    dot_vv.data(), dot_wv.data());
   }
 }
 

@@ -47,7 +47,6 @@
 #include "sparse/bsr.hpp"
 #include "sparse/crs.hpp"
 #include "sparse/sell.hpp"
-#include "sparse/sell_block.hpp"
 #include "sparse/stencil.hpp"
 #include "util/schedule.hpp"
 #include "util/types.hpp"
@@ -143,10 +142,10 @@ void aug_spmmv_runs(const CrsMatrix& a, const AugScalars& s,
                     std::span<const IndexRange<global_index>> runs,
                     std::span<complex_t> dot_vv, std::span<complex_t> dot_wv);
 
-// Block-format kernels (DESIGN.md §5f).  The BSR/SELL-block bodies run
-// behind the same width dispatch as the scalar formats, one output row at a
-// time, re-walking a block row's values, indices and v block-rows from L1
-// for its b rows.  Matrix values may be stored float32 (accumulation stays
+// Block-format kernels (DESIGN.md §5f).  The BSR body runs behind the same
+// width dispatch as the scalar formats, one output row at a time,
+// re-walking a block row's values, indices and v block-rows from L1 for its
+// b rows.  Matrix values may be stored float32 (accumulation stays
 // double) and block-column indices may stream as 16-bit deltas; both are
 // properties of the matrix object, not kernel parameters.  The per-lane
 // bitwise contract holds per format: accumulation order within a row is
@@ -167,12 +166,6 @@ void aug_spmmv_runs(const BsrMatrix& a, const AugScalars& s,
                     const blas::BlockVector& v, blas::BlockVector& w,
                     std::span<const IndexRange<global_index>> runs,
                     std::span<complex_t> dot_vv, std::span<complex_t> dot_wv);
-
-/// Stage-2 fused block kernel (SELL-C-sigma over block rows; consumes and
-/// produces block-row-permuted vectors, see SellBlockMatrix::permute).
-void aug_spmmv(const SellBlockMatrix& a, const AugScalars& s,
-               const blas::BlockVector& v, blas::BlockVector& w,
-               std::span<complex_t> dot_vv, std::span<complex_t> dot_wv);
 
 // Matrix-free stencil kernels (DESIGN.md §5h).  No matrix stream at all:
 // interior rows multiply the register/L1-resident coefficient blocks of the

@@ -1,8 +1,8 @@
-// Property tests of the block sparse formats (DESIGN.md §5f): CRS <-> BSR
-// <-> SELL-block round trips preserve stored values bitwise, the 16-bit
-// delta index stream decodes exactly and falls back to 32-bit on overflow,
-// and the mixed-precision (f32-value) matrix path stays within its
-// documented error bound on the TI / graphene DOS.
+// Property tests of the block sparse format (DESIGN.md §5f): CRS <-> BSR
+// round trips preserve stored values bitwise, the 16-bit delta index stream
+// decodes exactly and falls back to 32-bit on overflow, and the
+// mixed-precision (f32-value) matrix path stays within its documented error
+// bound on the TI / graphene DOS.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,7 +21,6 @@
 #include "sparse/crs.hpp"
 #include "sparse/kpm_kernels.hpp"
 #include "sparse/matrix_stats.hpp"
-#include "sparse/sell_block.hpp"
 #include "util/check.hpp"
 
 namespace kpm {
@@ -105,16 +104,6 @@ TEST(BlockFormats, CrsBsrCrsRoundTripBitwise) {
   EXPECT_TRUE(same_crs_bitwise(g2.to_crs(), graphene_matrix()));
 }
 
-TEST(BlockFormats, CrsSellBlockCrsRoundTripBitwise) {
-  const sparse::SellBlockMatrix sb(ti_matrix(), 4, 8, 32);
-  EXPECT_EQ(sb.nnz(), ti_matrix().nnz());
-  EXPECT_TRUE(same_crs_bitwise(sb.to_crs(), ti_matrix()));
-  // Unsorted (sigma = 1) and chunk heights that do not divide the block-row
-  // count exercise the tail-lane padding.
-  const sparse::SellBlockMatrix tail(ti_matrix(), 4, 7, 1);
-  EXPECT_TRUE(same_crs_bitwise(tail.to_crs(), ti_matrix()));
-}
-
 TEST(BlockFormats, TiBlockAssemblerMatchesCrsBuild) {
   physics::TIParams p;
   p.nx = 8;
@@ -126,16 +115,6 @@ TEST(BlockFormats, TiBlockAssemblerMatchesCrsBuild) {
   EXPECT_TRUE(same_crs_bitwise(direct.to_crs(), ti_matrix()));
 }
 
-TEST(BlockFormats, SellBlockPermuteRoundTrip) {
-  const sparse::SellBlockMatrix sb(ti_matrix(), 4, 8, 32);
-  const auto x = block(sb.nrows(), 3, 0.25);
-  blas::BlockVector xp(sb.nrows(), 3), back(sb.nrows(), 3);
-  sb.permute(x, xp);
-  sb.unpermute(xp, back);
-  EXPECT_EQ(std::memcmp(x.data(), back.data(), x.size() * sizeof(complex_t)),
-            0);
-}
-
 // --- index compression ------------------------------------------------------
 
 TEST(BlockFormats, TiMatrixUses16BitDeltaIndices) {
@@ -143,8 +122,6 @@ TEST(BlockFormats, TiMatrixUses16BitDeltaIndices) {
   EXPECT_EQ(bsr.index_bits(), 16);
   EXPECT_EQ(bsr.col_delta16().size(),
             static_cast<std::size_t>(bsr.num_blocks()));
-  const sparse::SellBlockMatrix sb(ti_matrix(), 4, 8, 32);
-  EXPECT_EQ(sb.index_bits(), 16);
 }
 
 TEST(BlockFormats, DeltaOverflowFallsBackTo32Bit) {
@@ -197,34 +174,6 @@ TEST(BlockFormats, BsrKernelMatchesCrs) {
         EXPECT_NEAR(std::abs(ref.dwv[r] - got.dwv[r]), 0.0, 1e-10);
       }
     }
-  }
-}
-
-TEST(BlockFormats, SellBlockKernelMatchesCrsThroughPermutation) {
-  const sparse::SellBlockMatrix sb(ti_matrix(), 4, 8, 32);
-  const int width = 8;
-  const auto ref = run_sweep(ti_matrix(), width);
-
-  const auto v = block(sb.ncols(), width, 0.0);
-  auto w = block(sb.nrows(), width, 0.5);
-  blas::BlockVector vp(sb.ncols(), width), wp(sb.nrows(), width);
-  sb.permute(v, vp);
-  sb.permute(w, wp);
-  std::vector<complex_t> dvv(width), dwv(width);
-  sparse::aug_spmmv(sb, sparse::AugScalars::recurrence(0.3, -0.05), vp, wp,
-                    dvv, dwv);
-  blas::BlockVector wout(sb.nrows(), width);
-  sb.unpermute(wp, wout);
-  double max_err = 0.0;
-  for (global_index i = 0; i < sb.nrows(); ++i) {
-    for (int r = 0; r < width; ++r) {
-      max_err = std::max(max_err, std::abs(ref.w(i, r) - wout(i, r)));
-    }
-  }
-  EXPECT_LT(max_err, 1e-12);
-  for (int r = 0; r < width; ++r) {
-    EXPECT_NEAR(std::abs(ref.dvv[r] - dvv[r]), 0.0, 1e-10);
-    EXPECT_NEAR(std::abs(ref.dwv[r] - dwv[r]), 0.0, 1e-10);
   }
 }
 
@@ -363,22 +312,6 @@ TEST(BlockFormats, MixedPrecisionGrapheneDos) {
       sparse::BsrMatrix(h, 2, sparse::MatrixPrecision::f32), s, mp);
   for (std::size_t m = 0; m < ref.mu.size(); ++m) {
     EXPECT_LT(std::abs(ref.mu[m] - mixed.mu[m]), 1e-5) << "moment " << m;
-  }
-}
-
-TEST(BlockFormats, MixedPrecisionSellBlockMatchesMixedBsr) {
-  const auto& h = ti_matrix();
-  const auto s = physics::make_scaling(physics::gershgorin_bounds(h), 0.05);
-  core::MomentParams mp;
-  mp.num_moments = 32;
-  mp.num_random = 2;
-  const sparse::BsrMatrix b32(h, 4, sparse::MatrixPrecision::f32);
-  const sparse::SellBlockMatrix sb32(b32, 8, 32);
-  EXPECT_EQ(sb32.precision(), sparse::MatrixPrecision::f32);
-  const auto a = core::moments_aug_spmmv(b32, s, mp);
-  const auto b = core::moments_aug_spmmv(sb32, s, mp);
-  for (std::size_t m = 0; m < a.mu.size(); ++m) {
-    EXPECT_NEAR(a.mu[m], b.mu[m], 1e-10) << "moment " << m;
   }
 }
 

@@ -36,7 +36,6 @@
 #include "sparse/crs.hpp"
 #include "sparse/kpm_kernels.hpp"
 #include "sparse/sell.hpp"
-#include "sparse/sell_block.hpp"
 #include "sparse/stencil.hpp"
 #include "util/check.hpp"
 
@@ -73,11 +72,6 @@ const sparse::BsrMatrix& bsr_matrix() {
 
 const sparse::BsrMatrix& bsr_matrix_f32() {
   static const sparse::BsrMatrix m(matrix(), 4, sparse::MatrixPrecision::f32);
-  return m;
-}
-
-const sparse::SellBlockMatrix& sell_block_matrix() {
-  static const sparse::SellBlockMatrix m(bsr_matrix(), 8, 32);
   return m;
 }
 
@@ -124,11 +118,6 @@ const sparse::BsrMatrix& rotated_bsr_matrix() {
 const sparse::BsrMatrix& rotated_bsr_matrix_f32() {
   static const sparse::BsrMatrix m(rotated_matrix(), 4,
                                    sparse::MatrixPrecision::f32);
-  return m;
-}
-
-const sparse::SellBlockMatrix& rotated_sell_block_matrix() {
-  static const sparse::SellBlockMatrix m(rotated_bsr_matrix(), 8, 32);
   return m;
 }
 
@@ -300,12 +289,10 @@ const std::vector<Format>& formats() {
       make_format("bsr2", bsr2_matrix()),
       make_format("bsr4", bsr_matrix()),
       make_format("bsr4_f32", bsr_matrix_f32()),
-      make_format("sell_block", sell_block_matrix()),
       make_format("stencil", stencil_operator()),
       make_format("crs_rot", rotated_matrix()),
       make_format("bsr4_rot", rotated_bsr_matrix()),
       make_format("bsr4_f32_rot", rotated_bsr_matrix_f32()),
-      make_format("sell_block_rot", rotated_sell_block_matrix()),
       make_format("stencil_rot", rotated_stencil_operator()),
   };
   return all;
@@ -543,11 +530,8 @@ TEST(KernelDispatch, BlockKernelsAreBitwiseDeterministic) {
   const auto b1 = run_sweep(bsr_matrix(), 8);
   const auto b2 = run_sweep(bsr_matrix(), 8);
   EXPECT_TRUE(bitwise_equal(b1.w, b2.w));
+  EXPECT_TRUE(bitwise_equal(b1.dvv, b2.dvv));
   EXPECT_TRUE(bitwise_equal(b1.dwv, b2.dwv));
-  const auto s1 = run_sweep(sell_block_matrix(), 8);
-  const auto s2 = run_sweep(sell_block_matrix(), 8);
-  EXPECT_TRUE(bitwise_equal(s1.w, s2.w));
-  EXPECT_TRUE(bitwise_equal(s1.dvv, s2.dvv));
 #ifdef _OPENMP
   omp_set_num_threads(saved);
 #endif

@@ -17,7 +17,6 @@
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
 #include "sparse/bsr.hpp"
-#include "sparse/sell_block.hpp"
 #include "sparse/stencil.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
@@ -614,7 +613,7 @@ TEST(SweepSession, CheckpointFingerprintRejectsMismatchedOperator) {
 
 TEST(SweepSession, FingerprintDigestsValuesForEveryFormat) {
   // Regression: the digest used to walk values only for assembled CRS, so a
-  // BSR/SELL/stencil operator with the SAME sparsity pattern but different
+  // BSR/stencil operator with the SAME sparsity pattern but different
   // values (same kind/shape/nnz — a changed hopping, a fresh disorder
   // realization) shared its print with the old registration and could be
   // served the old cached spectra or accept the old checkpoints.
@@ -633,16 +632,15 @@ TEST(SweepSession, FingerprintDigestsValuesForEveryFormat) {
   EXPECT_NE(core::operator_fingerprint(b1, s),
             core::operator_fingerprint(b2, s));
 
-  const sparse::SellBlockMatrix l1(h, 4, /*chunk=*/4, /*sigma=*/4);
-  const sparse::SellBlockMatrix l2(h2, 4, /*chunk=*/4, /*sigma=*/4);
-  EXPECT_NE(core::operator_fingerprint(l1, s),
-            core::operator_fingerprint(l2, s));
-
   // Narrowed storage sweeps different value bits than f64 storage: the two
-  // registrations must not share cached spectra either.
+  // registrations must not share cached spectra either, and the f32 value
+  // stream is digested like the f64 one.
   const sparse::BsrMatrix b32(h, 4, sparse::MatrixPrecision::f32);
+  const sparse::BsrMatrix b32_2(h2, 4, sparse::MatrixPrecision::f32);
   EXPECT_NE(core::operator_fingerprint(b1, s),
             core::operator_fingerprint(b32, s));
+  EXPECT_NE(core::operator_fingerprint(b32, s),
+            core::operator_fingerprint(b32_2, s));
 
   // Matrix-free: two disorder realizations share every term and boundary
   // entry; only the per-row diagonal stream differs.

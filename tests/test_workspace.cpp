@@ -24,7 +24,6 @@
 #include "service/service.hpp"
 #include "sparse/bsr.hpp"
 #include "sparse/crs.hpp"
-#include "sparse/sell_block.hpp"
 #include "sparse/stencil.hpp"
 #include "util/aligned.hpp"
 #include "util/alloc_hook.hpp"
@@ -63,27 +62,22 @@ bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// One TI lattice in all four sweepable formats, with one scaling.
+/// One TI lattice in all three sweepable formats, with one scaling.
 struct Operators {
   sparse::CrsMatrix crs;
   sparse::BsrMatrix bsr;
-  sparse::SellBlockMatrix sell_block;
   sparse::StencilOperator stencil;
   physics::Scaling scaling;
 
   explicit Operators(const physics::TIParams& p)
       : crs(physics::build_ti_hamiltonian(p)),
         bsr(crs, 4),
-        sell_block(bsr, 8, 32),
         stencil(physics::make_ti_stencil(p)),
         scaling(scaling_for(crs)) {}
 
   [[nodiscard]] std::vector<std::pair<std::string, core::OperatorRef>> all()
       const {
-    return {{"crs", crs},
-            {"bsr", bsr},
-            {"sell_block", sell_block},
-            {"stencil", stencil}};
+    return {{"crs", crs}, {"bsr", bsr}, {"stencil", stencil}};
   }
 };
 
@@ -248,7 +242,7 @@ std::vector<Lanes> batch_of(int width) {
 
 TEST(ServiceWorkspace, WorkerAlternatingModelsAndWidthsKeepsDirectBits) {
   // One worker, so one workspace serves every batch: it alternates between
-  // two lattice sizes (N = 192 and 320) and four formats, at widths
+  // two lattice sizes (N = 192 and 320) and three formats, at widths
   // 1 -> 32 -> 4 -> 32 -> 1.
   struct Model {
     std::string key;
@@ -259,14 +253,14 @@ TEST(ServiceWorkspace, WorkerAlternatingModelsAndWidthsKeepsDirectBits) {
   const Operators& b = large_ops();
   const std::vector<Model> models{{"a-crs", a.crs, a.scaling},
                                   {"b-bsr", b.bsr, b.scaling},
-                                  {"a-sell-block", a.sell_block, a.scaling},
+                                  {"a-bsr", a.bsr, a.scaling},
                                   {"b-stencil", b.stencil, b.scaling},
                                   {"b-crs", b.crs, b.scaling},
                                   {"a-stencil", a.stencil, a.scaling}};
   service::KpmService svc(one_worker());
   svc.register_model("a-crs", a.crs, a.scaling);
   svc.register_model("b-bsr", b.bsr, b.scaling);
-  svc.register_model("a-sell-block", a.sell_block, a.scaling);
+  svc.register_model("a-bsr", a.bsr, a.scaling);
   svc.register_model("b-stencil", b.stencil, b.scaling);
   svc.register_model("b-crs", b.crs, b.scaling);
   svc.register_model("a-stencil", a.stencil, a.scaling);
